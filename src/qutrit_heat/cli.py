@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from math import cos, inf, pi
 
 import numpy as np
@@ -28,12 +29,12 @@ from .errors import (
     ReducibleChain,
 )
 from .rates import CHANNEL_IDS, assemble_rate_matrix
-from .steady import MIN_JUMPS, gillespie_estimate
+from .steady import MIN_JUMPS, gillespie_estimate, solve_steady
 from .sweep import SweepAxis, SweepSpec, preset, run_sweep, write_csv
 from .transport import (
     SystemConfig,
     TemperatureScenario,
-    solve_temperatures,
+    heat_currents,
     transport_report,
 )
 
@@ -110,8 +111,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> dict:
+def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
+    """The config from DEFAULTS, the --config file and the flags, in that
+    order of precedence, and the set of keys the file or a flag set."""
     cfg = dict(DEFAULTS)
+    explicit: set[str] = set()
     if args.config:
         try:
             with open(args.config) as fh:
@@ -126,11 +130,13 @@ def _load_config(args: argparse.Namespace) -> dict:
             if key not in DEFAULTS:
                 raise ConfigError(f"config: unknown key {key!r}")
             cfg[key] = value
+        explicit.update(data)
     for key in _SCALAR_FLAGS + ("merge", "preset", "out", "seed", "jumps"):
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    return cfg
+            explicit.add(key)
+    return cfg, explicit
 
 
 def _validate(cfg: dict) -> dict:
@@ -175,31 +181,20 @@ def _validate(cfg: dict) -> dict:
 
 def _system_config(cfg: dict) -> SystemConfig:
     try:
-        circuit = CircuitParams(e_j=cfg["ej"], e_c=cfg["ec"], phi=cfg["flux"])
-        merged = tuple(cfg["merge"].split(",")) if cfg["merge"] else None
-        resonators = tuple(
-            (c, cfg[f"omega_{c}"]) for c in CHANNEL_IDS if cfg[f"omega_{c}"] is not None
-        )
         return SystemConfig(
-            circuit=circuit,
-            q=cfg["q"],
-            lambda_res=cfg["lambda_res"],
-            lambda_off=cfg["lambda_off"],
-            merged=merged,
-            resonators=resonators,
+            circuit=CircuitParams(e_j=cfg["ej"], e_c=cfg["ec"], phi=cfg["flux"]),
+            q=cfg["q"], lambda_res=cfg["lambda_res"], lambda_off=cfg["lambda_off"],
+            merged=tuple(cfg["merge"].split(",")) if cfg["merge"] else None,
+            resonators=tuple((c, cfg[f"omega_{c}"]) for c in CHANNEL_IDS
+                             if cfg[f"omega_{c}"] is not None),
         )
     except (InvalidFlux, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _point_scenario(cfg: dict, config: SystemConfig) -> TemperatureScenario:
-    temps = {}
-    for cid in CHANNEL_IDS:
-        temps[config.bath_of(cid)] = cfg[f"t{cid}"]
-    return TemperatureScenario(
-        hot=frozenset(), base=0.0, hot_temperature=0.0,
-        overrides=tuple(temps.items()),
-    )
+    temps = {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
+    return TemperatureScenario(base=0.0, hot_temperature=0.0, overrides=tuple(temps.items()))
 
 
 def _fmt(value: float, human: bool) -> str:
@@ -207,9 +202,7 @@ def _fmt(value: float, human: bool) -> str:
 
 
 def _print_advisories(config: SystemConfig) -> None:
-    resonators = {
-        cid: (config.resonator_frequency(cid), config.q) for cid in CHANNEL_IDS
-    }
+    resonators = {cid: (config.resonator_frequency(cid), config.q) for cid in CHANNEL_IDS}
     for note in filter_width_advisories(config.spectrum, resonators):
         print(f"advisory: {note}", file=sys.stderr)
 
@@ -230,7 +223,15 @@ def cmd_steady(cfg: dict, human: bool = False) -> int:
     return 0
 
 
-def _sweep_spec_from_config(cfg: dict) -> SweepSpec:
+#: Keys of the fixed system configuration a sweep spec carries.
+_FIXED = {"ej", "ec", "flux", "q", "lambda_res", "lambda_off", "merge",
+          "omega_a", "omega_b", "omega_c"}
+
+
+def _sweep_config(cfg: dict, explicit: set[str]) -> tuple[dict, SweepSpec]:
+    """The preset or config-file sweep spec, and cfg with the fixed
+    configuration keys taken from that spec unless the file or a flag set
+    them (`explicit`): the effective configuration of the sweep."""
     if cfg["preset"] is not None:
         try:
             spec = preset(cfg["preset"])
@@ -240,38 +241,21 @@ def _sweep_spec_from_config(cfg: dict) -> SweepSpec:
         spec = _parse_sweep_dict(cfg["sweep"])
     else:
         raise ConfigError("sweep: provide --preset or a config-file sweep section")
-    # Flag and file scalars override the spec's fixed configuration.
-    overrides = {
-        k: cfg[k] for k in _SCALAR_FLAGS if cfg[k] != DEFAULTS[k] and cfg[k] is not None
-    }
-    if overrides or cfg["merge"]:
-        base = {
-            "ej": spec.config.circuit.e_j,
-            "ec": spec.config.circuit.e_c,
-            "flux": spec.config.circuit.phi,
-            "q": spec.config.q,
-            "lambda_res": spec.config.lambda_res,
-            "lambda_off": spec.config.lambda_off,
-            "merge": cfg["merge"],
-            "omega_a": None,
-            "omega_b": None,
-            "omega_c": None,
-        }
-        for cid, w in spec.config.resonators:
-            base[f"omega_{cid}"] = w
-        for key, value in overrides.items():
-            if key in base:
-                base[key] = value
-        cfg2 = dict(cfg)
-        cfg2.update(base)
-        spec = SweepSpec(
-            config=_system_config(cfg2),
-            scenario=spec.scenario,
-            axes=spec.axes,
-            metrics=spec.metrics,
-            passive=spec.passive,
-            repin_resonators=spec.repin_resonators,
-        )
+    own = spec.config
+    effective = dict(
+        cfg, ej=own.circuit.e_j, ec=own.circuit.e_c, flux=own.circuit.phi, q=own.q,
+        lambda_res=own.lambda_res, lambda_off=own.lambda_off,
+        merge=",".join(own.merged) if own.merged else None,
+        **{f"omega_{c}": dict(own.resonators).get(c) for c in CHANNEL_IDS},
+    )
+    effective.update({k: cfg[k] for k in explicit & _FIXED})
+    return effective, spec
+
+
+def _sweep_spec_from_config(cfg: dict, explicit: set[str]) -> SweepSpec:
+    effective, spec = _sweep_config(cfg, explicit)
+    if explicit & _FIXED:
+        spec = replace(spec, config=_system_config(effective))
     return spec
 
 
@@ -280,12 +264,7 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
         raise ConfigError("sweep: must be a JSON object")
     try:
         axes = tuple(
-            SweepAxis(
-                name=ax["name"],
-                start=float(ax["start"]),
-                stop=float(ax["stop"]),
-                count=int(ax["count"]),
-            )
+            SweepAxis(ax["name"], float(ax["start"]), float(ax["stop"]), int(ax["count"]))
             for ax in data["axes"]
         )
         scen = data.get("scenario", {})
@@ -317,19 +296,17 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
         raise ConfigError(f"sweep: {exc}") from exc
 
 
-def cmd_sweep(cfg: dict, human: bool = False) -> int:
+def cmd_sweep(cfg: dict, explicit: set[str], human: bool = False) -> int:
     """Run a sweep and write its CSV; per-point failures never abort."""
-    spec = _sweep_spec_from_config(cfg)
+    spec = _sweep_spec_from_config(cfg, explicit)
     if cfg["out"] is None:
         raise ConfigError("out: an output path is required for sweeps")
     t0 = time.perf_counter()
     result = run_sweep(spec)
     elapsed = time.perf_counter() - t0
     write_csv(result, cfg["out"])
-    print(
-        f"rows {len(result.rows)}  undefined {result.undefined_count()}  "
-        f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {cfg['out']}"
-    )
+    print(f"rows {len(result.rows)}  undefined {result.undefined_count()}  "
+          f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {cfg['out']}")
     return 0
 
 
@@ -340,9 +317,10 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
     config = _system_config(cfg)
     scenario = _point_scenario(cfg, config)
     _print_advisories(config)
-    temps = scenario.temperatures(config.bath_ids())
-    steady, currents = solve_temperatures(config, temps)
-    rates = assemble_rate_matrix(config.spectrum, config.channels(temps))
+    rates = assemble_rate_matrix(
+        config.spectrum, config.channels(scenario.temperatures(config.bath_ids())))
+    steady = solve_steady(rates)
+    currents = heat_currents(steady, rates, config.spectrum)
     est = gillespie_estimate(rates, config.spectrum, n_jumps=cfg["jumps"], seed=cfg["seed"])
 
     names = ["p0", "p1", "p2", "j_a", "j_b", "j_c"]
@@ -366,7 +344,10 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _validate(_load_config(args))
+        cfg, explicit = _load_config(args)
+        cfg = _validate(cfg)
+        if args.dump_config and args.command == "sweep" and (cfg["preset"] or cfg["sweep"]):
+            cfg = _sweep_config(cfg, explicit)[0]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -377,7 +358,7 @@ def main(argv=None) -> int:
         if args.command == "steady":
             return cmd_steady(cfg, human=args.human)
         if args.command == "sweep":
-            return cmd_sweep(cfg, human=args.human)
+            return cmd_sweep(cfg, explicit, human=args.human)
         return cmd_verify(cfg, human=args.human)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ frequency. Rate pairs obey local detailed balance at the channel temperature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1
 
 import numpy as np
 
@@ -41,12 +40,42 @@ def bose_occupation(omega: float, temperature: float) -> float:
         raise ValueError(f"omega must be positive, got {omega}")
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
-        return 0.0
-    x = omega / temperature
-    if x > 700.0:
-        return 0.0
-    return 1.0 / expm1(x)
+    return float(bose_factors(np.float64(omega), np.float64(temperature)))
+
+
+def bose_factors(omega, temperature):
+    """Elementwise Bose occupation, 0 where T = 0 or omega/T > 700. Every
+    occupation comes from this one np.expm1 call, so a scenario's rates are
+    bit-identical whatever batch it is solved in."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = omega / temperature
+        n = 1.0 / np.expm1(x)
+    return np.where((temperature > 0.0) & (x <= 700.0), n, 0.0)
+
+
+def lorentz_prefactor(omega, omega_l, q, weight):
+    """weight (2 omega / Q) / [1 + Q^2 (omega/omega_l - omega_l/omega)^2], elementwise."""
+    d = q * (omega / omega_l - omega_l / omega)
+    return weight * (2.0 * omega / q) / (1.0 + d * d)
+
+
+def channel_prefactors(freqs, omega_l, q, lambda_res, lambda_off):
+    """Lorentz prefactors (N, channel, transition) from freqs (N, 3), i.e.
+    (omega10, omega21, omega20), and per-channel omega_l, q, lambda_res and
+    lambda_off broadcasting to (N, 3); lambda_res weighs each channel's
+    resonant transition (a: 0<->1, b: 1<->2, c: 0<->2)."""
+    weight = np.where(np.eye(3, dtype=bool), np.asarray(lambda_res, dtype=float)[..., None],
+                      np.asarray(lambda_off, dtype=float)[..., None])
+    return lorentz_prefactor(freqs[..., None, :], np.asarray(omega_l)[..., None],
+                             np.asarray(q, dtype=float)[..., None], weight)
+
+
+def thermal_rates(freqs, prefactors, temperatures):
+    """(up, down) rates (N, channel, transition) at (N, 3) channel
+    temperatures; down = prefactor (1 + n_B) keeps detailed balance pair by
+    pair and spontaneous emission at T = 0."""
+    n = bose_factors(freqs[:, None, :], temperatures[:, :, None])
+    return prefactors * n, prefactors * (1.0 + n)
 
 
 def lorentz_filter(omega: float, omega_l: float, q: float) -> float:
@@ -93,17 +122,12 @@ class BathChannel:
         if not self.bath:
             object.__setattr__(self, "bath", self.id)
 
-    def coupling_weight(self, pair: tuple[int, int]) -> float:
-        """lambda_res on the resonantly assigned level pair, lambda_off else."""
-        return self.lambda_res if RESONANT_PAIR[self.id] == pair else self.lambda_off
-
 
 def _rate_pair(channel: BathChannel, omega_ji: float, weight: float) -> tuple[float, float]:
     """(excitation, relaxation) rates for one transition through one channel."""
     if not omega_ji > 0:
         raise ValueError("omega_ji must be positive (upward transition)")
-    d = channel.q * (omega_ji / channel.omega - channel.omega / omega_ji)
-    pref = weight * (2.0 * omega_ji / channel.q) / (1.0 + d * d)
+    pref = lorentz_prefactor(omega_ji, channel.omega, channel.q, weight)
     n = bose_occupation(omega_ji, channel.temperature)
     return pref * n, pref * (1.0 + n)
 
@@ -174,37 +198,28 @@ class RateMatrix:
     per_channel: dict[str, np.ndarray]
     total: np.ndarray
 
-    def channel(self, cid: str) -> np.ndarray:
-        return self.per_channel[cid]
-
 
 def assemble_rate_matrix(spectrum: QutritSpectrum, channels) -> RateMatrix:
     """Build the full rate matrix for three channels against a spectrum.
 
     channels may be a BathSet or any iterable of three BathChannel with
-    labels exactly {a, b, c}. Downward rates follow from the stable
-    (1 + n_B) form, so detailed balance holds pair by pair.
+    labels exactly {a, b, c}. The rates are the kernel's (channel_prefactors,
+    thermal_rates) at N = 1.
     """
     if not isinstance(channels, BathSet):
         channels = BathSet.from_channels(tuple(channels))
-    freqs = (spectrum.omega10, spectrum.omega21, spectrum.omega20)
+    freqs = np.array([[spectrum.omega10, spectrum.omega21, spectrum.omega20]])
+    col = {f: np.array([[getattr(ch, f) for ch in channels]])
+           for f in ("omega", "q", "lambda_res", "lambda_off", "temperature")}
+    up, down = thermal_rates(freqs, channel_prefactors(
+        freqs, col["omega"], col["q"], col["lambda_res"], col["lambda_off"]), col["temperature"])
     per: dict[str, np.ndarray] = {}
-    tot = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    for ch in channels:
-        g = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        res_pair = RESONANT_PAIR[ch.id]
-        for (i, j, _), w in zip(UPWARD_TRANSITIONS, freqs):
-            weight = ch.lambda_res if res_pair == (i, j) else ch.lambda_off
-            if weight == 0.0:
-                continue
-            up, down = _rate_pair(ch, w, weight)
-            g[j][i] = up
-            g[i][j] = down
-            tot[j][i] += up
-            tot[i][j] += down
-        arr = np.array(g)
-        arr.setflags(write=False)
-        per[ch.id] = arr
-    total = np.array(tot)
+    for c, ch in enumerate(channels):
+        g = np.zeros((3, 3))
+        for t, (i, j, _) in enumerate(UPWARD_TRANSITIONS):
+            g[j, i], g[i, j] = up[0, c, t], down[0, c, t]
+        g.setflags(write=False)
+        per[ch.id] = g
+    total = per["a"] + per["b"] + per["c"]
     total.setflags(write=False)
     return RateMatrix(per_channel=per, total=total)

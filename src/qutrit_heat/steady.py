@@ -1,9 +1,9 @@
 """Stationary state of the three-level rate equations.
 
-Three independent routes to the same physics live here: the exact linear
-solve of the master equation (the source of truth), the closed-form current
-amplitude of the perfectly filtered limit (cross-check), and a continuous-time
-jump-process Monte Carlo estimator (statistical oracle).
+Three independent routes to the same physics live here: the batched
+tree-theorem solve with its heat currents (the source of truth and the
+package's one solve path), the closed-form current amplitude of the perfectly
+filtered limit (cross-check), and a jump-process Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import QutritSpectrum
 from .errors import ReducibleChain
-from .rates import RateMatrix, bose_occupation
+from .rates import RateMatrix, thermal_rates
 
 #: Max-norm bound on the residual of the (time-normalized) rate equations.
 RESIDUAL_TOL = 1e-10
@@ -48,133 +48,123 @@ class SteadyState:
             raise ValueError(f"rate-equation residual {self.residual} too large")
 
 
-def generator_matrix(total: np.ndarray) -> np.ndarray:
-    """Markov generator: off-diagonal rates, diagonal = -column sums."""
-    m = np.array(total, dtype=float)
-    np.fill_diagonal(m, 0.0)
-    np.fill_diagonal(m, -m.sum(axis=0))
-    return m
+def strongly_connected(k01, k10, k12, k21, k02, k20):
+    """Strong connectivity of the digraph with an edge i -> j where the rate
+    kij > 0, elementwise; on three nodes a two-hop closure decides."""
+    e01, e10, e12, e21, e02, e20 = (k > 0.0 for k in (k01, k10, k12, k21, k02, k20))
+    return ((e01 | (e02 & e21)) & (e02 | (e01 & e12)) & (e10 | (e12 & e20))
+            & (e12 | (e10 & e02)) & (e20 | (e21 & e10)) & (e21 | (e20 & e01)))
 
 
-def is_irreducible(total: np.ndarray) -> bool:
-    """Strong connectivity of the nonzero-rate digraph on three states."""
-    t = np.asarray(total)
-    return _strongly_connected(
-        t[1, 0] > 0.0, t[2, 0] > 0.0, t[0, 1] > 0.0,
-        t[2, 1] > 0.0, t[0, 2] > 0.0, t[1, 2] > 0.0,
-    )
+def edge_rates(total) -> tuple:
+    """(k01, k10, k12, k21, k02, k20), kij the rate i -> j, of [..., j, i] matrices."""
+    t = np.asarray(total, dtype=float)
+    return t[..., 1, 0], t[..., 0, 1], t[..., 2, 1], t[..., 1, 2], t[..., 2, 0], t[..., 0, 2]
 
 
-def _strongly_connected(e01, e02, e10, e12, e20, e21) -> bool:
-    # eij: edge state i -> state j. On three nodes a two-hop closure decides.
-    return (
-        (e01 or (e02 and e21))
-        and (e02 or (e01 and e12))
-        and (e10 or (e12 and e20))
-        and (e12 or (e10 and e02))
-        and (e20 or (e21 and e10))
-        and (e21 or (e20 and e01))
-    )
+def _trees(k01, k10, k12, k21, k02, k20):
+    """The largest rate s, the rates over s, and their tree sums w_i: the
+    products of rates along the three spanning trees directed into state i
+    (Schnakenberg, Rev. Mod. Phys. 48, 571, 1976), all non-negative."""
+    s = np.maximum(np.maximum(np.maximum(k01, k10), np.maximum(k12, k21)), np.maximum(k02, k20))
+    k01, k10, k12, k21, k02, k20 = (k / s for k in (k01, k10, k12, k21, k02, k20))
+    w = (k10 * k20 + k12 * k20 + k21 * k10, k01 * k21 + k02 * k21 + k20 * k01,
+         k02 * k12 + k01 * k12 + k10 * k02)
+    return s, (k01, k10, k12, k21, k02, k20), w
 
 
-def _solve3(a: list[list[float]], b: list[float]) -> list[float]:
-    """Dense 3x3 solve by Gaussian elimination with partial pivoting."""
-    rows = [a[0] + [b[0]], a[1] + [b[1]], a[2] + [b[2]]]
-    for col in range(2):
-        piv = max(range(col, 3), key=lambda r: abs(rows[r][col]))
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        lead = rows[col][col]
-        for r in range(col + 1, 3):
-            f = rows[r][col] / lead
-            if f != 0.0:
-                for c in range(col + 1, 4):
-                    rows[r][c] -= f * rows[col][c]
-    x2 = rows[2][3] / rows[2][2]
-    x1 = (rows[1][3] - rows[1][2] * x2) / rows[1][1]
-    x0 = (rows[0][3] - rows[0][1] * x1 - rows[0][2] * x2) / rows[0][0]
-    return [x0, x1, x2]
+def stationary(k01, k10, k12, k21, k02, k20):
+    """Tree-theorem stationary state p_i = w_i / (w0 + w1 + w2) of N chains
+    with (N,) total rates kij: no cancellation, no pivoting. Returns p
+    (N, 3), the max norm of the normalised rate equations at p, and the
+    strong-connectivity mask; where it is False (say, every bath at T = 0:
+    state 0 absorbs, yet the tree sum is nonzero) p must not be used."""
+    connected = strongly_connected(k01, k10, k12, k21, k02, k20)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, (k01, k10, k12, k21, k02, k20), (w0, w1, w2) = _trees(k01, k10, k12, k21, k02, k20)
+        norm = w0 + w1 + w2
+        p0, p1, p2 = w0 / norm, w1 / norm, w2 / norm
+        residual = np.maximum(np.maximum(
+            abs(-(k01 + k02) * p0 + k10 * p1 + k20 * p2),
+            abs(k01 * p0 - (k10 + k12) * p1 + k21 * p2)),
+            abs(k02 * p0 + k12 * p1 - (k20 + k21) * p2))
+    return np.stack([p0, p1, p2], axis=-1), residual, connected
+
+
+def channel_currents(freqs, up, down, p):
+    """Stationary heat currents j (N, channel) and their scale (N,).
+
+    freqs (N, 3) holds (omega10, omega21, omega20), up and down the
+    (N, channel, transition) rates, p the (N, 3) populations. J_l is
+    sum_t w_t f_lt, f_lt = u p_i - d p_j channel l's net flux up t = i -> j.
+    With p_i = w_i / W and m the third state, f_lt W = (k_mi + k_mj)
+    (u k_ji - d k_ij) + u k_jm k_mi - d k_im k_mj: the first term is exactly
+    0 when one channel drives t alone, the second is the cycle affinity, so
+    u p_i and d p_j never cancel. scale is the largest gross one-way flow
+    sum_t w_t (u p_i + d p_j) of any channel.
+    """
+    k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s, (k01, k10, k12, k21, k02, k20), w = _trees(
+            k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
+        norm = (w[0] + w[1] + w[2]) / s
+        net = []
+        for t, (kij, kji, kmi, kmj, kjm, kim) in enumerate((
+            (k01, k10, k20, k21, k12, k02),  # 0 -> 1
+            (k12, k21, k01, k02, k20, k10),  # 1 -> 2
+            (k02, k20, k10, k12, k21, k01),  # 0 -> 2
+        )):
+            u, d = up[:, :, t] / s[:, None], down[:, :, t] / s[:, None]
+            f = ((kmi + kmj)[:, None] * (u * kji[:, None] - d * kij[:, None])
+                 + u * (kjm * kmi)[:, None] - d * (kim * kmj)[:, None])
+            net.append(freqs[:, t, None] * f / norm[:, None])
+    w_t = freqs[:, None, :]
+    gross = w_t * up * p[:, None, [0, 1, 0]] + w_t * down * p[:, None, [1, 2, 2]]
+    g = gross[..., 0] + gross[..., 1] + gross[..., 2]
+    return net[0] + net[1] + net[2], np.maximum(np.maximum(g[:, 0], g[:, 1]), g[:, 2])
+
+
+def solve_scenarios(freqs, prefactors, temperatures) -> tuple:
+    """The batched kernel: (p, residual, connected, j, scale) of N scenarios
+    from freqs (N, 3), rates.channel_prefactors (N, 3, 3) and channel
+    temperatures (N, 3). A row depends on its own inputs only, bit for bit,
+    so any batching of a scenario gives the same numbers."""
+    up, down = thermal_rates(freqs, prefactors, temperatures)
+    k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
+    p, residual, connected = stationary(
+        k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
+    return (p, residual, connected, *channel_currents(freqs, up, down, p))
+
+
+#: Why a scenario failed, by the code failure_codes gives it.
+FAILURE_KINDS = ("", "ReducibleChain", "ValueError")
+
+
+def failure_codes(residual, connected) -> np.ndarray:
+    """0 solved, 1 not strongly connected, 2 residual above RESIDUAL_TOL."""
+    return np.where(connected, np.where(residual <= RESIDUAL_TOL, 0, 2), 1)
+
+
+def steady_state(p: np.ndarray, residual, connected) -> SteadyState:
+    """One kernel row as a SteadyState; raises as FAILURE_KINDS names."""
+    if not connected:
+        raise ReducibleChain("rate digraph is not strongly connected")
+    p = p.copy()
+    p.setflags(write=False)
+    return SteadyState(p=p, residual=float(residual))
 
 
 def solve_steady(rates: RateMatrix) -> SteadyState:
-    """Unique stationary distribution of the total rate matrix.
-
-    One redundant row of the generator is replaced by the normalization
-    sum(p) = 1 and the 3x3 system solved directly (dense elimination with
-    pivoting); the residual of the full rate equations, including the
-    replaced row, is verified afterwards. Raises ReducibleChain when the
-    chain is not strongly connected, rather than returning one of many
-    stationary vectors.
-    """
-    t = rates.total
-    r10, r20 = float(t[1, 0]), float(t[2, 0])
-    r01, r21 = float(t[0, 1]), float(t[2, 1])
-    r02, r12 = float(t[0, 2]), float(t[1, 2])
-    scale = max(r10, r20, r01, r21, r02, r12)
-    if scale <= 0.0 or not _strongly_connected(
-        r10 > 0.0, r20 > 0.0, r01 > 0.0, r21 > 0.0, r02 > 0.0, r12 > 0.0
-    ):
-        raise ReducibleChain("rate digraph is not strongly connected")
-    r10 /= scale; r20 /= scale
-    r01 /= scale; r21 /= scale
-    r02 /= scale; r12 /= scale
-    # generator columns: diagonal = -(column sum of departures)
-    m = [
-        [-(r10 + r20), r01, r02],
-        [r10, -(r01 + r21), r12],
-        [r20, r21, -(r02 + r12)],
-    ]
-    p0, p1, p2 = _solve3([[1.0, 1.0, 1.0], m[1], m[2]], [1.0, 0.0, 0.0])
-    # Solver noise can leave populations a few ulp outside [0, 1].
-    p0 = min(max(p0, 0.0), 1.0)
-    p1 = min(max(p1, 0.0), 1.0)
-    p2 = min(max(p2, 0.0), 1.0)
-    norm = p0 + p1 + p2
-    p0 /= norm; p1 /= norm; p2 /= norm
-    residual = max(
-        abs(m[0][0] * p0 + m[0][1] * p1 + m[0][2] * p2),
-        abs(m[1][0] * p0 + m[1][1] * p1 + m[1][2] * p2),
-        abs(m[2][0] * p0 + m[2][1] * p1 + m[2][2] * p2),
-    )
-    p = np.array([p0, p1, p2])
-    p.setflags(write=False)
-    return SteadyState(p=p, residual=residual)
+    """Unique stationary distribution of the total rate matrix (stationary
+    at N = 1); raises ReducibleChain for a chain that is not strongly
+    connected rather than return one of many stationary vectors."""
+    p, residual, connected = stationary(*(k[None] for k in edge_rates(rates.total)))
+    return steady_state(p[0], residual[0], connected[0])
 
 
 # ---------------------------------------------------------------------------
 # Closed-form current amplitude of the perfectly filtered limit.
 # ---------------------------------------------------------------------------
-
-_amplitude_sign: float | None = None
-
-
-def _reference_sign() -> float:
-    """One-time sign calibration of the closed form against solve_steady.
-
-    Builds the perfectly filtered cycle with unit couplings at a fixed
-    reference point, measures the net cycle flux from the linear solve, and
-    compares its sign with the closed form. The linear solve is the source
-    of truth; the cached sign is applied to every later evaluation.
-    """
-    global _amplitude_sign
-    if _amplitude_sign is None:
-        omegas = (1.0, 0.8, 1.8)
-        temps = (1.0, 0.9, 0.5)
-        per = {}
-        for cid, (i, j), w, t in zip("abc", ((0, 1), (1, 2), (0, 2)), omegas, temps):
-            g = np.zeros((3, 3))
-            n = bose_occupation(w, t)
-            g[j, i] = n
-            g[i, j] = 1.0 + n
-            per[cid] = g
-        rates = RateMatrix(per_channel=per, total=sum(per.values()))
-        p = solve_steady(rates).p
-        flux = per["a"][1, 0] * p[0] - per["a"][0, 1] * p[1]
-        thetas = tuple(w / t for w, t in zip(omegas, temps))
-        raw = _amplitude_raw(*thetas)
-        _amplitude_sign = 1.0 if (flux >= 0.0) == (raw >= 0.0) else -1.0
-    return _amplitude_sign
-
 
 def _amplitude_raw(theta_a: float, theta_b: float, theta_c: float) -> float:
     # Rational function of the Boltzmann factors, written with negative
@@ -203,13 +193,12 @@ def ideal_current_amplitude(
 
     theta_l = omega_l / T_l. The heat currents of the ideal limit are
     J_a = omega_a * A, J_b = omega_b * A, J_c = -omega_c * A. The amplitude
-    vanishes exactly at the stall condition theta_c = theta_a + theta_b and
-    its sign is calibrated once against the linear solve (see
-    _reference_sign).
+    vanishes exactly at the stall condition theta_c = theta_a + theta_b. Its
+    sign agrees with the net cycle flux of solve_steady (a test pins this).
     """
     if not (theta_a > 0 and theta_b > 0 and theta_c > 0):
         raise ValueError("thetas must be positive and finite")
-    return _reference_sign() * kappa * _amplitude_raw(theta_a, theta_b, theta_c)
+    return kappa * _amplitude_raw(theta_a, theta_b, theta_c)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +250,7 @@ def gillespie_estimate(
     """
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
-    total = np.asarray(rates.total, dtype=float)
-    if total.max() <= 0.0 or not is_irreducible(total):
+    if not strongly_connected(*edge_rates(rates.total)):
         raise ReducibleChain("rate digraph is not strongly connected")
 
     energies = spectrum.energies

@@ -21,15 +21,15 @@ import numpy as np
 
 from .circuit import CircuitParams, filter_width_advisories
 from .errors import QutritHeatError
-from .rates import CHANNEL_IDS
+from .rates import CHANNEL_IDS, channel_prefactors
+from .steady import FAILURE_KINDS, failure_codes, solve_scenarios
 from .transport import (
     SystemConfig,
     TemperatureScenario,
-    bath_currents,
-    circulation_from_currents,
-    classify_regime,
-    rectification_from_currents,
-    solve_temperatures,
+    circulation_values,
+    cycle_products,
+    rectification_values,
+    regimes,
 )
 
 AXIS_NAMES = (
@@ -70,6 +70,8 @@ class SweepAxis:
             raise ValueError("axis lambda_off: weights must be >= 0")
         if self.name == "quality_factor" and self.start <= 0:
             raise ValueError("axis quality_factor: Q must be positive")
+        if self.name == "log10_quality_factor" and not -300.0 <= self.start < self.stop <= 300.0:
+            raise ValueError("axis log10_quality_factor: exponents must lie in [-300, 300]")
 
     def values(self) -> list[float]:
         return [float(v) for v in np.linspace(self.start, self.stop, self.count)]
@@ -104,8 +106,11 @@ class SweepSpec:
         for m in self.metrics:
             if m not in METRIC_COLUMNS + _NOOP_METRICS:
                 raise ValueError(f"unknown metric {m!r}")
-        if isinstance(self.passive, str) and self.passive not in ("base", "mean"):
-            raise ValueError('passive must be "base", "mean", or a temperature')
+        if isinstance(self.passive, str):
+            if self.passive not in ("base", "mean"):
+                raise ValueError('passive must be "base", "mean", or a temperature')
+        elif not float(self.passive) >= 0:
+            raise ValueError(f"passive temperature must be >= 0, got {self.passive}")
 
     @property
     def metric_columns(self) -> tuple[str, ...]:
@@ -144,162 +149,163 @@ class SweepResult:
         return sum(1 for r in self.rows if "error:" in (r[flag_idx] or ""))
 
 
-def _point_config_scenario(
-    spec: SweepSpec, values: tuple[float, ...]
-) -> tuple[SystemConfig, TemperatureScenario]:
-    cfg = spec.config
-    scen = spec.scenario
-    circuit = cfg.circuit
-    cfg_kw: dict = {}
-    for ax, v in zip(spec.axes, values):
-        if ax.name == "base_temperature":
-            scen = replace(scen, base=v)
-        elif ax.name == "hot_temperature":
-            scen = replace(scen, hot_temperature=v)
-        elif ax.name == "flux":
-            circuit = CircuitParams(e_j=circuit.e_j, e_c=circuit.e_c, phi=v)
-            cfg_kw["circuit"] = circuit
-            if spec.repin_resonators:
-                cfg_kw["resonators"] = ()
-        elif ax.name == "quality_factor":
-            cfg_kw["q"] = v
-        elif ax.name == "log10_quality_factor":
-            cfg_kw["q"] = 10.0 ** v
-        elif ax.name == "lambda_off":
-            cfg_kw["lambda_off"] = v
-    if cfg_kw:
-        cfg = replace(cfg, **cfg_kw)
-    return cfg, scen
+#: Grid points per kernel call. It bounds the scenario table's memory; no
+#: result depends on it.
+BLOCK_POINTS = 256
 
 
-class _PointSolver:
-    """Caches scenario solves within a single grid point.
+def _templates(spec: SweepSpec):
+    """Distinct channel-temperature templates of the scenarios a grid point
+    needs, the base scenario's index, and per metric the indices of its
+    scenarios in the order the scalar API solves them. A template gives
+    channel a, b and c each "base", "hot", "mean" or a fixed temperature."""
+    cfg, scen = spec.config, spec.scenario
+    passive = spec.passive if isinstance(spec.passive, str) else float(spec.passive)
+    templates: list[tuple] = []
 
-    Rectification and circulation metrics reuse each other's single-hot
-    scenario solves; nothing is cached across points.
-    """
+    def index(sources: dict) -> int:
+        t = tuple(sources.get(c, "base") for c in CHANNEL_IDS)
+        if t not in templates:
+            templates.append(t)
+        return templates.index(t)
 
-    def __init__(self, config: SystemConfig, base: float, hot: float):
-        self.config = config
-        self.base = base
-        self.hot = hot
-        self._cache: dict = {}
+    def source(bath: str):
+        return dict(scen.overrides).get(bath, "hot" if bath in scen.hot else "base")
 
-    def solve(self, merged: tuple[str, str] | None, hot_baths: frozenset,
-              overrides: tuple = ()):
-        key = (merged, hot_baths, overrides)
-        if key not in self._cache:
-            cfg = self.config if merged is None else replace(self.config, merged=merged)
-            scen = TemperatureScenario(
-                hot=hot_baths, base=self.base, hot_temperature=self.hot,
-                overrides=overrides,
-            )
-            _, currents = solve_temperatures(cfg, scen.temperatures(cfg.bath_ids()))
-            self._cache[key] = (bath_currents(cfg, currents), currents.scale)
-        return self._cache[key]
-
-    def _passive_override(self, l: str, l_prime: str, passive: str | float) -> tuple:
-        if passive == "base":
-            return ()
-        (rest,) = set(CHANNEL_IDS) - {l, l_prime}
-        t = 0.5 * (self.base + self.hot) if passive == "mean" else float(passive)
-        return ((rest, t),)
-
-    def rect_3t(self, l: str, l_prime: str, passive: str | float) -> float:
-        ov = self._passive_override(l, l_prime, passive)
-        fwd, s1 = self.solve(None, frozenset({l_prime}), ov)
-        bwd, s2 = self.solve(None, frozenset({l}), ov)
-        return rectification_from_currents(fwd[l], bwd[l_prime], max(s1, s2))
-
-    def rect_2t(self, pair: tuple[str, str], single: str) -> float:
-        merged_bath = "".join(pair)
-        fwd, s1 = self.solve(pair, frozenset({single}))
-        bwd, s2 = self.solve(pair, frozenset({merged_bath}))
-        return rectification_from_currents(fwd[merged_bath], bwd[single], max(s1, s2))
-
-    def circulation(self) -> float:
-        j = {}
-        scale = 1.0
-        for m in CHANNEL_IDS:
-            cur, s = self.solve(None, frozenset({m}))
-            j[m] = cur
-            scale *= s
-        j_cw = j["b"]["a"] * j["c"]["b"] * j["a"]["c"]
-        j_ccw = j["c"]["a"] * j["b"]["c"] * j["a"]["b"]
-        return circulation_from_currents(j_cw, j_ccw, scale)
-
-    def metric(self, name: str, passive: str | float) -> float:
-        if name == "C":
-            return self.circulation()
-        if name.startswith("R2_"):
-            _, pair, single = name.split("_")
-            return self.rect_2t((pair[0], pair[1]), single)
-        _, lpair = name.split("_")
-        return self.rect_3t(lpair[0], lpair[1], passive)
-
-
-def _evaluate_point(spec: SweepSpec, values: tuple[float, ...]) -> tuple:
-    flags: list[str] = []
-    try:
-        cfg, scen = _point_config_scenario(spec, values)
-        steady, currents = solve_temperatures(cfg, scen.temperatures(cfg.bath_ids()))
-    except (QutritHeatError, ValueError, ArithmeticError) as exc:
-        flags.append(f"error:{type(exc).__name__}")
-        blank = (None,) * (6 + len(spec.metric_columns))
-        return values + blank + (None, None, ";".join(flags))
-
-    try:
-        regime = classify_regime(
-            bath_currents(cfg, currents), scen.temperatures(cfg.bath_ids())
-        )
-    except QutritHeatError as exc:
-        regime = None
-        flags.append(f"error:{type(exc).__name__}")
-
-    solver = _PointSolver(cfg, scen.base, scen.hot_temperature)
-    metric_cells = []
+    base = index({c: source(cfg.bath_of(c)) for c in CHANNEL_IDS})
+    metrics = {}
     for name in spec.metric_columns:
-        try:
-            metric_cells.append(solver.metric(name, spec.passive))
-        except QutritHeatError as exc:
-            metric_cells.append(None)
-            tag = (
-                f"undefined:{name}"
-                if type(exc).__name__ == "UndefinedCoefficient"
-                else f"error:{type(exc).__name__}:{name}"
-            )
-            flags.append(tag)
+        if name == "C":
+            metrics[name] = [index({m: "hot"}) for m in CHANNEL_IDS]
+        elif name.startswith("R2_"):
+            pair, single = name[3:5], name[6]
+            metrics[name] = [index({single: "hot"}), index(dict.fromkeys(pair, "hot"))]
+        else:
+            (rest,) = set(CHANNEL_IDS) - set(name[2:])
+            metrics[name] = [index({name[3]: "hot", rest: passive}),
+                             index({name[2]: "hot", rest: passive})]
+    return templates, base, metrics
 
-    p = steady.p
-    return (
-        values
-        + (float(p[0]), float(p[1]), float(p[2]))
-        + (currents.j_a, currents.j_b, currents.j_c)
-        + tuple(metric_cells)
-        + (regime, steady.residual, ";".join(flags))
-    )
+
+def _bath_current(j: np.ndarray, channels) -> np.ndarray:
+    """(N,) current of the bath made of `channels`: the sum of theirs."""
+    return j[:, [CHANNEL_IDS.index(c) for c in channels]].sum(axis=1)
+
+
+def _metric(name: str, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Values and 0/0 mask of one metric from its scenarios' (j, scale)."""
+    if name.startswith("R2_"):
+        (jf, sf), (jb, sb) = parts
+        return rectification_values(
+            _bath_current(jf, name[3:5]), _bath_current(jb, name[6]), np.maximum(sf, sb))
+    if name == "C":
+        (ja, sa), (jb, sb), (jc, sc) = parts
+        return circulation_values(*cycle_products(ja, jb, jc), 1.0 * sa * sb * sc)
+    (jf, sf), (jb, sb) = parts
+    return rectification_values(
+        _bath_current(jf, name[2]), _bath_current(jb, name[3]), np.maximum(sf, sb))
+
+
+def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: dict) -> list[tuple]:
+    """Rows of a block of grid points from one kernel call on a table of
+    each point's distinct channel-temperature triples (exact repeats within
+    a point are solved once). spectra caches the kernel frequencies (or the
+    error name) per flux value across the blocks of a chunk."""
+    n, cfg, scen = len(points), spec.config, spec.scenario
+    axis = {ax.name: [p[i] for p in points] for i, ax in enumerate(spec.axes)}
+    if "log10_quality_factor" in axis:
+        axis["quality_factor"] = [10.0 ** v for v in axis["log10_quality_factor"]]
+    base, hot, q, lambda_off = (
+        np.array(axis.get(key, [default] * n), dtype=float)
+        for key, default in (("base_temperature", scen.base), ("hot_temperature", scen.hot_temperature),
+                             ("quality_factor", cfg.q), ("lambda_off", cfg.lambda_off)))
+    freqs, omega_l, error = np.ones((n, 3)), np.ones((n, 3)), [""] * n
+    for k, phi in enumerate(axis.get("flux", [None] * n)):
+        if phi not in spectra:
+            try:
+                point_cfg = cfg if phi is None else replace(
+                    cfg, circuit=CircuitParams(e_j=cfg.circuit.e_j, e_c=cfg.circuit.e_c, phi=phi),
+                    resonators=() if spec.repin_resonators else cfg.resonators)
+                spectra[phi] = point_cfg.kernel_frequencies()
+            except (QutritHeatError, ValueError, ArithmeticError) as exc:
+                spectra[phi] = type(exc).__name__
+        if isinstance(spectra[phi], str):
+            error[k] = spectra[phi]
+        else:
+            freqs[k], omega_l[k] = spectra[phi]
+
+    templates, base_slot, metric_slots = _templates(spec)
+    sources = {"base": base, "hot": hot, "mean": 0.5 * (base + hot)}
+    temps = np.stack([np.stack([sources[s] if isinstance(s, str) else np.full(n, s) for s in t],
+                               axis=1) for t in templates], axis=1)  # (point, slot, channel)
+    first = (temps[:, :, None, :] == temps[:, None, :, :]).all(axis=3).argmax(axis=2)
+    keep = (first == np.arange(len(templates))) & np.array([not e for e in error])[:, None]
+    blank = (None,) * (6 + len(spec.metric_columns))
+    if not keep.any():
+        return [values + blank + (None, None, f"error:{e}") for values, e in zip(points, error)]
+    table = np.zeros(keep.shape, dtype=int)
+    table[keep] = np.arange(int(keep.sum()))
+    table = np.take_along_axis(table, first, axis=1)  # (point, slot) -> scenario
+    point, slot = np.nonzero(keep)
+    pref = channel_prefactors(freqs, omega_l, q[:, None], cfg.lambda_res, lambda_off[:, None])
+    p, residual, connected, j, scale = solve_scenarios(freqs[point], pref[point], temps[point, slot])
+    failure = failure_codes(residual, connected)
+
+    rows = table[:, base_slot]
+    error = [e or FAILURE_KINDS[f] for e, f in zip(error, failure[rows].tolist())]
+    ok = np.array([not e for e in error])
+    flags: list[list[str]] = [[] for _ in range(n)]
+    regime = np.full(n, None, dtype=object)
+    if ok.any():
+        baths = cfg.bath_ids()
+        members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
+        bath_t = temps[:, base_slot, [CHANNEL_IDS.index(m[0]) for m in members]]
+        bath_j = np.stack([_bath_current(j[rows], m) for m in members], axis=1)
+        regime[ok] = regimes(baths, bath_t[ok], bath_j[ok])[0]
+    cells = []
+    for name in spec.metric_columns:
+        slots = metric_slots[name]
+        value, undefined = _metric(name, [(j[table[:, s]], scale[table[:, s]]) for s in slots])
+        kind = failure[table[:, slots[0]]]
+        for s in slots[1:]:
+            kind = np.where(kind != 0, kind, failure[table[:, s]])
+        if cfg.merged and not name.startswith("R2_"):
+            kind = np.full(n, 2)  # ValueError, as the scalar API raises for two baths
+        column = value.tolist()
+        for k in np.flatnonzero(ok & ((kind != 0) | undefined)):
+            flags[k].append(f"error:{FAILURE_KINDS[kind[k]]}:{name}" if kind[k] else f"undefined:{name}")
+            column[k] = None
+        cells.append(column)
+
+    out = []
+    for k, (values, pk, jk, res) in enumerate(
+            zip(points, p[rows].tolist(), j[rows].tolist(), residual[rows].tolist())):
+        if not ok[k]:
+            out.append(values + blank + (None, None, f"error:{error[k]}"))
+            continue
+        if regime[k] is None:
+            flags[k].insert(0, "error:AmbiguousExtremum")
+        out.append(values + tuple(pk) + tuple(jk) + tuple(c[k] for c in cells)
+                   + (regime[k], res, ";".join(flags[k])))
+    return out
 
 
 def _evaluate_chunk(spec: SweepSpec, start: int, stop: int) -> list[tuple]:
-    grid = spec.grid()
-    return [_evaluate_point(spec, grid[k]) for k in range(start, stop)]
+    grid, spectra = spec.grid(), {}
+    return [row for b in range(start, stop, BLOCK_POINTS)
+            for row in _evaluate_block(spec, grid[b:min(b + BLOCK_POINTS, stop)], spectra)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the grid; output order is independent of worker count."""
-    grid = spec.grid()
-    n = len(grid)
+    """Evaluate the grid; output order is independent of worker count. Each
+    worker evaluates one contiguous range of rows in blocks of BLOCK_POINTS."""
+    n = len(spec.grid())
     if workers <= 1:
-        rows = [_evaluate_point(spec, v) for v in grid]
+        rows = _evaluate_chunk(spec, 0, n)
     else:
         bounds = [round(k * n / workers) for k in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                _evaluate_chunk,
-                [spec] * workers,
-                bounds[:-1],
-                bounds[1:],
-            )
+            chunks = pool.map(_evaluate_chunk, [spec] * workers, bounds[:-1], bounds[1:])
             rows = [row for chunk in chunks for row in chunk]
     return SweepResult(columns=spec.columns, rows=tuple(rows))
 

@@ -14,17 +14,19 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from .circuit import CircuitParams, QutritSpectrum, derive_spectrum
 from .errors import AmbiguousExtremum, UndefinedCoefficient
 from .rates import (
     CHANNEL_IDS,
+    UPWARD_TRANSITIONS,
     BathChannel,
     BathSet,
     RateMatrix,
-    RESONANT_PAIR,
-    assemble_rate_matrix,
+    channel_prefactors,
 )
-from .steady import SteadyState, solve_steady
+from .steady import SteadyState, channel_currents, solve_scenarios, steady_state
 
 #: A coefficient denominator below this fraction of the gross one-way flow is
 #: treated as 0/0 (UndefinedCoefficient) rather than as a value.
@@ -53,35 +55,22 @@ class HeatCurrents:
         return self.j_a + self.j_b + self.j_c
 
 
-def heat_currents(
-    steady: SteadyState,
-    rates: RateMatrix,
-    spectrum: QutritSpectrum,
-) -> HeatCurrents:
+def heat_currents(steady: SteadyState, rates: RateMatrix, spectrum: QutritSpectrum) -> HeatCurrents:
     """Per-channel currents J_l = sum_{i<j} w_ji (G_ji p_i - G_ij p_j).
 
     Each upward transition absorbs the transition energy from the channel's
     bath, each downward one emits it, so the expression is positive when the
     system draws heat from the bath. Because omega20 = omega10 + omega21
-    exactly, the three currents sum to zero at any steady state.
+    exactly, the three currents sum to zero at any steady state. This is
+    steady.channel_currents at N = 1: the net currents are those of the
+    stationary state of `rates`; steady.p enters only the gross scale.
     """
-    p = steady.p
-    freqs = (spectrum.omega10, spectrum.omega21, spectrum.omega20)
-    pairs = ((0, 1), (1, 2), (0, 2))
-    values = {}
-    scale = 0.0
-    for cid in CHANNEL_IDS:
-        g = rates.per_channel[cid]
-        j = 0.0
-        gross = 0.0
-        for (i, jj), w in zip(pairs, freqs):
-            up = w * g[jj, i] * p[i]
-            down = w * g[i, jj] * p[jj]
-            j += up - down
-            gross += up + down
-        values[cid] = j
-        scale = max(scale, gross)
-    return HeatCurrents(j_a=values["a"], j_b=values["b"], j_c=values["c"], scale=scale)
+    g = rates.per_channel
+    up = [[g[c][j, i] for i, j, _ in UPWARD_TRANSITIONS] for c in CHANNEL_IDS]
+    down = [[g[c][i, j] for i, j, _ in UPWARD_TRANSITIONS] for c in CHANNEL_IDS]
+    freqs = np.array([[spectrum.omega10, spectrum.omega21, spectrum.omega20]])
+    j, scale = channel_currents(freqs, np.array([up]), np.array([down]), steady.p[None])
+    return HeatCurrents(*j[0].tolist(), scale=float(scale[0]))
 
 
 @dataclass(frozen=True)
@@ -143,9 +132,11 @@ class SystemConfig:
                 raise ValueError(f"merged must name two distinct channels, got {self.merged}")
             object.__setattr__(self, "merged", pair)
         object.__setattr__(self, "resonators", tuple(sorted(dict(self.resonators).items())))
-        for cid, _ in self.resonators:
+        for cid, w in self.resonators:
             if cid not in CHANNEL_IDS:
                 raise ValueError(f"unknown resonator channel {cid!r}")
+            if not w > 0:
+                raise ValueError(f"resonator {cid}: frequency must be positive")
 
     @cached_property
     def spectrum(self) -> QutritSpectrum:
@@ -157,38 +148,32 @@ class SystemConfig:
         return cid
 
     def bath_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for cid in CHANNEL_IDS:
-            b = self.bath_of(cid)
-            if b not in seen:
-                seen.append(b)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.bath_of(cid) for cid in CHANNEL_IDS))
 
     def resonator_frequency(self, cid: str) -> float:
-        for c, w in self.resonators:
-            if c == cid:
-                return w
-        i, j = RESONANT_PAIR[cid]
+        if cid in dict(self.resonators):
+            return dict(self.resonators)[cid]
         spec = self.spectrum
-        return {(0, 1): spec.omega10, (1, 2): spec.omega21, (0, 2): spec.omega20}[(i, j)]
+        return {"a": spec.omega10, "b": spec.omega21, "c": spec.omega20}[cid]
+
+    def kernel_frequencies(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Transition (omega10, omega21, omega20) and resonator (a, b, c)
+        frequencies for the kernel; ValueError if a transition frequency is
+        not positive (e_c = 0, where the plasma frequency vanishes too)."""
+        spec = self.spectrum
+        freqs = (spec.omega10, spec.omega21, spec.omega20)
+        if not min(freqs) > 0.0:
+            raise ValueError(f"transition frequencies must be positive, got {freqs}")
+        return freqs, tuple(self.resonator_frequency(cid) for cid in CHANNEL_IDS)
 
     def channels(self, temperatures: Mapping[str, float]) -> BathSet:
         """Instantiate the three channels at given per-bath temperatures."""
-        chans = []
-        for cid in CHANNEL_IDS:
-            bath = self.bath_of(cid)
-            chans.append(
-                BathChannel(
-                    id=cid,
-                    omega=self.resonator_frequency(cid),
-                    q=self.q,
-                    lambda_res=self.lambda_res,
-                    lambda_off=self.lambda_off,
-                    temperature=temperatures[bath],
-                    bath=bath,
-                )
-            )
-        return BathSet.from_channels(chans)
+        return BathSet.from_channels([
+            BathChannel(id=cid, omega=self.resonator_frequency(cid), q=self.q,
+                        lambda_res=self.lambda_res, lambda_off=self.lambda_off,
+                        temperature=temperatures[self.bath_of(cid)], bath=self.bath_of(cid))
+            for cid in CHANNEL_IDS
+        ])
 
 
 @dataclass(frozen=True)
@@ -204,10 +189,17 @@ class TransportReport:
 def solve_temperatures(
     config: SystemConfig, temperatures: Mapping[str, float]
 ) -> tuple[SteadyState, HeatCurrents]:
-    """Solve the steady state at explicit per-bath temperatures."""
-    rates = assemble_rate_matrix(config.spectrum, config.channels(temperatures))
-    steady = solve_steady(rates)
-    return steady, heat_currents(steady, rates, config.spectrum)
+    """Solve the steady state at explicit per-bath temperatures: the batched
+    kernel (steady.solve_scenarios) at N = 1, bit for bit a sweep cell."""
+    temps = [temperatures[config.bath_of(cid)] for cid in CHANNEL_IDS]
+    if any(t < 0 for t in temps):
+        raise ValueError(f"temperatures must be >= 0, got {temps}")
+    freqs, omega_l = config.kernel_frequencies()
+    f = np.array([freqs])
+    pref = channel_prefactors(f, np.array([omega_l]), config.q, config.lambda_res, config.lambda_off)
+    p, residual, connected, j, scale = solve_scenarios(f, pref, np.array([temps], dtype=float))
+    steady = steady_state(p[0], residual[0], connected[0])
+    return steady, HeatCurrents(*j[0].tolist(), scale=float(scale[0]))
 
 
 def bath_currents(config: SystemConfig, currents: HeatCurrents) -> dict[str, float]:
@@ -241,7 +233,7 @@ def transport_report(config: SystemConfig, scenario: TemperatureScenario) -> Tra
 def classify_regime(
     currents: Mapping[str, float], temperatures: Mapping[str, float]
 ) -> str:
-    """Label the thermodynamic operation of a steady state.
+    """Label the thermodynamic operation of a steady state (regimes at N = 1).
 
     "R_l": bath l sits at the minimum temperature and heat is extracted from
     it (J_l > 0). "P_l": bath l sits at the maximum temperature and heat is
@@ -254,34 +246,35 @@ def classify_regime(
     """
     if set(currents) != set(temperatures):
         raise ValueError("currents and temperatures must cover the same baths")
-    temps = dict(temperatures)
-    if len(set(temps.values())) == 1:
-        return "none"
-    tmin = min(temps.values())
-    tmax = max(temps.values())
-    cooled = [b for b, t in temps.items() if t == tmin and currents[b] > 0.0]
-    heated = [b for b, t in temps.items() if t == tmax and currents[b] < 0.0]
+    names = tuple(temperatures)
+    labels, cooled, heated = regimes(names, np.array([[temperatures[b] for b in names]]),
+                                     np.array([[currents[b] for b in names]]))
+    if labels[0] is None:
+        tied = cooled[0] if cooled[0].sum() > 1 else heated[0]
+        raise AmbiguousExtremum(f"baths {[b for b, t in zip(names, tied) if t]} tie for a "
+                                "temperature extremum and both claim it; label undefined")
+    return labels[0]
 
-    if len(cooled) > 1:
-        raise AmbiguousExtremum(
-            f"baths {sorted(cooled)} tie for the minimum temperature and are "
-            "both cooled; refrigerator label undefined"
-        )
-    if len(heated) > 1:
-        raise AmbiguousExtremum(
-            f"baths {sorted(heated)} tie for the maximum temperature and are "
-            "both heated; pump label undefined"
-        )
-    fridge = f"R_{cooled[0]}" if cooled else None
-    pump = f"P_{heated[0]}" if heated else None
-    if fridge and pump:
-        warnings.warn(
-            f"simultaneous {fridge} and {pump} without a work source; "
-            "reporting none",
-            stacklevel=2,
-        )
-        return "none"
-    return fridge or pump or "none"
+
+def regimes(names, temperatures: np.ndarray, currents: np.ndarray):
+    """Regime labels of N points whose (N, B) bath temperatures and currents
+    list the baths `names`: an object array with None where AmbiguousExtremum
+    applies, plus the (N, B) masks of the cooled coldest and heated hottest
+    baths. Warns for each point that is both a refrigerator and a pump."""
+    tmin = temperatures.min(axis=1, keepdims=True)
+    tmax = temperatures.max(axis=1, keepdims=True)
+    cooled = (temperatures == tmin) & (currents > 0.0) & (tmax > tmin)
+    heated = (temperatures == tmax) & (currents < 0.0) & (tmax > tmin)
+    n_cooled, n_heated = cooled.sum(axis=1), heated.sum(axis=1)
+    fridge = np.array([f"R_{b}" for b in names], dtype=object)[cooled.argmax(axis=1)]
+    pump = np.array([f"P_{b}" for b in names], dtype=object)[heated.argmax(axis=1)]
+    labels = np.where(n_heated == 0, np.where(n_cooled == 1, fridge, "none"),
+                      np.where((n_heated == 1) & (n_cooled == 0), pump, "none")).astype(object)
+    labels[(n_cooled > 1) | (n_heated > 1)] = None
+    for k in np.flatnonzero((n_cooled == 1) & (n_heated == 1)):
+        warnings.warn(f"simultaneous {fridge[k]} and {pump[k]} without a work source; "
+                      "reporting none", stacklevel=2)
+    return labels, cooled, heated
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +282,44 @@ def classify_regime(
 # ---------------------------------------------------------------------------
 
 
+def rectification_values(j_forward, j_backward, scale):
+    """-(J_fwd - J_bwd) / (|J_fwd| + |J_bwd|) elementwise, and the mask where
+    it is 0/0: a denominator at most UNDEFINED_REL_TOL * scale."""
+    denom = abs(j_forward) + abs(j_backward)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -(j_forward - j_backward) / denom, denom <= UNDEFINED_REL_TOL * scale
+
+
+def circulation_values(j_cw, j_ccw, scale):
+    """(|J_cw| - |J_ccw|) / |J_cw + J_ccw| elementwise, and its 0/0 mask."""
+    denom = abs(j_cw + j_ccw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (abs(j_cw) - abs(j_ccw)) / denom, denom <= UNDEFINED_REL_TOL * scale
+
+
+def cycle_products(j_a_hot, j_b_hot, j_c_hot):
+    """(J_cw, J_ccw) = (J_ab J_bc J_ca, J_ac J_cb J_ba), J_lm bath l's current
+    with m hot, from the single-hot scenarios' channel currents (last axis)."""
+    return (j_b_hot[..., 0] * j_c_hot[..., 1] * j_a_hot[..., 2],
+            j_c_hot[..., 0] * j_b_hot[..., 2] * j_a_hot[..., 1])
+
+
+def _defined(value_and_mask, why: str) -> float:
+    if value_and_mask[1]:
+        raise UndefinedCoefficient(why)
+    return float(value_and_mask[0])
+
+
 def rectification_from_currents(j_forward: float, j_backward: float, scale: float) -> float:
     """-(J_fwd - J_bwd) / (|J_fwd| + |J_bwd|), guarded against 0/0."""
-    denom = abs(j_forward) + abs(j_backward)
-    if denom <= UNDEFINED_REL_TOL * scale:
-        raise UndefinedCoefficient("forward and backward currents both vanish")
-    return -(j_forward - j_backward) / denom
+    return _defined(rectification_values(np.float64(j_forward), np.float64(j_backward), scale),
+                    "forward and backward currents both vanish")
 
 
 def circulation_from_currents(j_cw: float, j_ccw: float, scale: float) -> float:
     """(|J_cw| - |J_ccw|) / |J_cw + J_ccw|, guarded against 0/0."""
-    denom = abs(j_cw + j_ccw)
-    if denom <= UNDEFINED_REL_TOL * scale:
-        raise UndefinedCoefficient("cycle current products cancel")
-    return (abs(j_cw) - abs(j_ccw)) / denom
-
-
-def _passive_bath(l: str, l_prime: str) -> str:
-    (rest,) = set(CHANNEL_IDS) - {l, l_prime}
-    return rest
+    return _defined(circulation_values(np.float64(j_cw), np.float64(j_ccw), scale),
+                    "cycle current products cancel")
 
 
 def rectification_3t(
@@ -331,7 +343,7 @@ def rectification_3t(
         raise ValueError(f"need two distinct channels among a,b,c, got {l!r},{l_prime!r}")
     overrides = ()
     if passive_temperature is not None:
-        overrides = ((_passive_bath(l, l_prime), passive_temperature),)
+        overrides = (((set(CHANNEL_IDS) - {l, l_prime}).pop(), passive_temperature),)
     fwd = TemperatureScenario(
         hot=frozenset({l_prime}), base=base, hot_temperature=hot, overrides=overrides
     )
@@ -384,13 +396,11 @@ def circulation(config: SystemConfig, base: float, hot: float) -> float:
     """
     if config.merged is not None:
         raise ValueError("circulation needs three distinct baths")
-    j: dict[str, dict[str, float]] = {}
+    j = []
     scale = 1.0
     for hot_bath in CHANNEL_IDS:
         scen = TemperatureScenario(hot=frozenset({hot_bath}), base=base, hot_temperature=hot)
         _, cur = solve_temperatures(config, scen.temperatures(config.bath_ids()))
-        j[hot_bath] = cur.by_channel()
+        j.append(np.array([cur.j_a, cur.j_b, cur.j_c]))
         scale *= cur.scale
-    j_cw = j["b"]["a"] * j["c"]["b"] * j["a"]["c"]
-    j_ccw = j["c"]["a"] * j["b"]["c"] * j["a"]["b"]
-    return circulation_from_currents(j_cw, j_ccw, scale)
+    return circulation_from_currents(*cycle_products(*j), scale)

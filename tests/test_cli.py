@@ -6,7 +6,7 @@ import json
 import subprocess
 import sys
 
-from qutrit_heat.cli import main
+from qutrit_heat.cli import _load_config, _parser, _sweep_spec_from_config, _validate, main
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +185,38 @@ class TestSweep:
                              "--q", "1000", "--out", str(f2))
         assert code == 0
         assert f1.read_bytes() != f2.read_bytes()
+
+
+    def test_negative_passive_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "sweep": {
+                "axes": [{"name": "hot_temperature", "start": 1.2, "stop": 3.0,
+                          "count": 3}],
+                "metrics": ["R_ab"],
+                "passive": -1.0,
+            }
+        }))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and "passive" in err
+
+    def test_preset_override_equal_to_default_applies(self):
+        args = _parser().parse_args(
+            ["sweep", "--preset", "fig4", "--lambda-off", "1", "--out", "x.csv"])
+        cfg, explicit = _load_config(args)
+        spec = _sweep_spec_from_config(_validate(cfg), explicit)
+        assert spec.config.lambda_off == 1.0
+
+    def test_preset_dump_config_round_trips(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "fig4", "--dump-config")
+        assert code == 0 and json.loads(out)["lambda_off"] == 0.0
+        dumped = tmp_path / "dumped.json"
+        dumped.write_text(out)
+        args = _parser().parse_args(["sweep", "--config", str(dumped)])
+        cfg, explicit = _load_config(args)
+        spec = _sweep_spec_from_config(_validate(cfg), explicit)
+        assert spec.config.lambda_off == 0.0
 
 
 class TestVerify:

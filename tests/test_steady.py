@@ -197,6 +197,17 @@ class TestIdealAmplitude:
         assert a != 0.0
         assert omegas[0] * a == pytest.approx(j.j_a, rel=1e-9)
 
+    def test_sign_agrees_with_solve_steady_at_reference_point(self):
+        # the closed form carries no sign calibration: its sign is that of
+        # the net cycle flux of the linear solve
+        omegas, temps = (1.0, 0.8, 1.8), (1.0, 0.9, 0.5)
+        rm = symmetric_ideal_rates(omegas, temps)
+        p = solve_steady(rm).p
+        g = rm.per_channel["a"]
+        flux = g[1, 0] * p[0] - g[0, 1] * p[1]
+        a = ideal_current_amplitude(*(w / t for w, t in zip(omegas, temps)))
+        assert flux != 0.0 and (flux > 0.0) == (a > 0.0)
+
     def test_rejects_nonpositive_thetas(self):
         with pytest.raises(ValueError):
             ideal_current_amplitude(-1.0, 2.0, 3.0)
