@@ -11,7 +11,6 @@ with a sweep engine and CLI for parameter maps.
 from .circuit import (
     CircuitParams,
     QutritSpectrum,
-    UnitSystem,
     derive_spectrum,
     filter_width_advisories,
 )
@@ -31,9 +30,6 @@ from .rates import (
     RateMatrix,
     assemble_rate_matrix,
     bose_occupation,
-    excitation_rate,
-    lorentz_filter,
-    relaxation_rate,
 )
 from .steady import (
     SteadyState,
@@ -49,9 +45,6 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     preset,
-    run_flux_sweep,
-    run_map,
-    run_q_sweep,
     run_sweep,
     write_csv,
 )
@@ -96,26 +89,19 @@ __all__ = [
     "TemperatureScenario",
     "TransportReport",
     "UndefinedCoefficient",
-    "UnitSystem",
     "assemble_rate_matrix",
     "bose_occupation",
     "circulation",
     "classify_regime",
     "derive_seed",
     "derive_spectrum",
-    "excitation_rate",
     "filter_width_advisories",
     "gillespie_estimate",
     "heat_currents",
     "ideal_current_amplitude",
-    "lorentz_filter",
     "preset",
     "rectification_2t",
     "rectification_3t",
-    "relaxation_rate",
-    "run_flux_sweep",
-    "run_map",
-    "run_q_sweep",
     "run_sweep",
     "scenario_current",
     "solve_steady",

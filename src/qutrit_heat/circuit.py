@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import cos, sqrt
+from math import cos, inf, sqrt
 
 from .errors import InvalidFlux, NonPositiveFrequency
 
@@ -21,28 +21,14 @@ TRANSMON_RATIO_ADVISORY = 5.0
 
 
 @dataclass(frozen=True)
-class UnitSystem:
-    """Reference frequency anchor.
-
-    Internally fixed to 1: callers work in units of omega_r throughout, so
-    this type exists to document the convention, not to convert anything.
-    """
-
-    omega_r: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.omega_r > 0:
-            raise ValueError("omega_r must be positive")
-
-
-@dataclass(frozen=True)
 class CircuitParams:
     """Loop parameters defining the qutrit.
 
     e_j is the Josephson energy of each (identical) junction and e_c the
     island charging energy, both in units of hbar*omega_r. phi is the reduced
     flux phase threading the loop, in radians; the effective Josephson energy
-    (3/2)*e_j*cos(phi/3) must stay positive for the well to exist.
+    (3/2)*e_j*cos(phi/3) must stay positive for the well to exist. This is
+    the one place the flux domain is checked. All three must be finite.
     """
 
     e_j: float
@@ -50,10 +36,12 @@ class CircuitParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.e_j > 0:
-            raise ValueError(f"e_j must be positive, got {self.e_j}")
-        if self.e_c < 0:
-            raise ValueError(f"e_c must be non-negative, got {self.e_c}")
+        if not 0 < self.e_j < inf:
+            raise ValueError(f"e_j must be finite and positive, got {self.e_j}")
+        if not 0 <= self.e_c < inf:
+            raise ValueError(f"e_c must be finite and non-negative, got {self.e_c}")
+        if not -inf < self.phi < inf:
+            raise ValueError(f"phi must be finite, got {self.phi}")
         if cos(self.phi / 3.0) <= 0:
             raise InvalidFlux(
                 f"cos(phi/3) <= 0 for phi={self.phi}; no stable well"
@@ -110,14 +98,11 @@ def derive_spectrum(params: CircuitParams) -> QutritSpectrum:
         omega32 = omega0 - 2.25 e_c
 
     Raises NonPositiveFrequency if anharmonicity pushes a transition to or
-    below zero, and InvalidFlux outside the cos(phi/3) > 0 domain. The
+    below zero (CircuitParams has already checked the flux domain). The
     degenerate harmonic case e_c = 0 is returned as-is (all transitions
     collapse onto omega0); it is outside the validated parameter regime.
     """
-    c3 = cos(params.phi / 3.0)
-    if c3 <= 0:
-        raise InvalidFlux(f"cos(phi/3) <= 0 for phi={params.phi}")
-    omega0 = sqrt(12.0 * params.e_j * params.e_c * c3)
+    omega0 = sqrt(12.0 * params.e_j * params.e_c * cos(params.phi / 3.0))
     omega10 = omega0 - 0.75 * params.e_c
     omega21 = omega0 - 1.5 * params.e_c
     omega32 = omega0 - 2.25 * params.e_c

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from math import cos, inf, pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
@@ -144,12 +144,12 @@ def _validate(cfg: dict) -> dict:
         value = cfg[key]
         if value is not None and not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if isinstance(value, float) and not isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
     if not cfg["ej"] > 0:
         raise ConfigError(f"ej: must be positive, got {cfg['ej']}")
     if cfg["ec"] < 0:
         raise ConfigError(f"ec: must be >= 0, got {cfg['ec']}")
-    if cos(cfg["flux"] / 3.0) <= 0:
-        raise ConfigError(f"flux: cos(flux/3) <= 0 for flux={cfg['flux']}")
     if not cfg["q"] > 0:
         raise ConfigError(f"q: must be positive, got {cfg['q']}")
     for key in ("lambda_res", "lambda_off"):
@@ -348,6 +348,8 @@ def main(argv=None) -> int:
         cfg = _validate(cfg)
         if args.dump_config and args.command == "sweep" and (cfg["preset"] or cfg["sweep"]):
             cfg = _sweep_config(cfg, explicit)[0]
+        if args.dump_config:
+            _system_config(cfg)  # a dump is only of a config that would run
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

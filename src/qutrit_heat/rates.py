@@ -11,6 +11,7 @@ frequency. Rate pairs obey local detailed balance at the channel temperature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -34,12 +35,12 @@ def bose_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(omega/T) - 1).
 
     Exactly 0 at T = 0 (and below occupation 1e-304, where exp would
-    overflow). omega must be positive, temperature non-negative.
+    overflow). omega must be positive, temperature non-negative, both finite.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not 0 < omega < inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if not 0 <= temperature < inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     return float(bose_factors(np.float64(omega), np.float64(temperature)))
 
 
@@ -78,18 +79,6 @@ def thermal_rates(freqs, prefactors, temperatures):
     return prefactors * n, prefactors * (1.0 + n)
 
 
-def lorentz_filter(omega: float, omega_l: float, q: float) -> float:
-    """Resonator suppression factor in (0, 1].
-
-    Equals 1 iff omega == omega_l and is symmetric under omega <-> omega_l.
-    Far off resonance it falls like 1/Q^2 at fixed detuning.
-    """
-    if not (omega > 0 and omega_l > 0 and q > 0):
-        raise ValueError("omega, omega_l and q must all be positive")
-    d = q * (omega / omega_l - omega_l / omega)
-    return 1.0 / (1.0 + d * d)
-
-
 @dataclass(frozen=True)
 class BathChannel:
     """One resonator-mediated coupling to a thermal reservoir.
@@ -111,40 +100,16 @@ class BathChannel:
     def __post_init__(self) -> None:
         if self.id not in CHANNEL_IDS:
             raise ChannelMismatch(f"channel id must be one of a,b,c: {self.id}")
-        if not self.omega > 0:
-            raise ValueError(f"channel {self.id}: omega must be positive")
-        if not self.q > 0:
-            raise ValueError(f"channel {self.id}: q must be positive")
-        if self.lambda_res < 0 or self.lambda_off < 0:
-            raise ValueError(f"channel {self.id}: coupling weights must be >= 0")
-        if self.temperature < 0:
-            raise ValueError(f"channel {self.id}: temperature must be >= 0")
+        if not 0 < self.omega < inf:
+            raise ValueError(f"channel {self.id}: omega must be finite and positive")
+        if not 0 < self.q < inf:
+            raise ValueError(f"channel {self.id}: q must be finite and positive")
+        if not (0 <= self.lambda_res < inf and 0 <= self.lambda_off < inf):
+            raise ValueError(f"channel {self.id}: coupling weights must be finite and >= 0")
+        if not 0 <= self.temperature < inf:
+            raise ValueError(f"channel {self.id}: temperature must be finite and >= 0")
         if not self.bath:
             object.__setattr__(self, "bath", self.id)
-
-
-def _rate_pair(channel: BathChannel, omega_ji: float, weight: float) -> tuple[float, float]:
-    """(excitation, relaxation) rates for one transition through one channel."""
-    if not omega_ji > 0:
-        raise ValueError("omega_ji must be positive (upward transition)")
-    pref = lorentz_prefactor(omega_ji, channel.omega, channel.q, weight)
-    n = bose_occupation(omega_ji, channel.temperature)
-    return pref * n, pref * (1.0 + n)
-
-
-def excitation_rate(channel: BathChannel, omega_ji: float, weight: float) -> float:
-    """Upward rate lambda * (2 w / Q) * filter * n_B(w, T)."""
-    return _rate_pair(channel, omega_ji, weight)[0]
-
-
-def relaxation_rate(channel: BathChannel, omega_ji: float, weight: float) -> float:
-    """Downward rate, computed as prefactor * (1 + n_B).
-
-    Algebraically identical to excitation_rate * exp(w/T) (local detailed
-    balance) but stays finite at T = 0, where only spontaneous emission
-    survives.
-    """
-    return _rate_pair(channel, omega_ji, weight)[1]
 
 
 @dataclass(frozen=True)

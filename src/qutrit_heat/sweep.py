@@ -5,6 +5,11 @@ system configuration. Every grid point is independent; per-point failures
 (invalid flux, undefined coefficients, degenerate classifications) are
 recorded in the row's flags column and never abort the run. Row order is the
 row-major order of the grid regardless of how many workers evaluate it.
+
+No metric is defined here: the scenarios and formulas of R_ll', R2 and C
+are transport.metric_scenarios and transport.metric_values, and the regime
+labels transport.regimes. This module builds the scenario table of a block
+of grid points, solves it in one kernel call and assembles the rows.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import csv
 import io
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from math import log10, pi
+from math import inf, log10, pi
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +32,9 @@ from .steady import FAILURE_KINDS, failure_codes, solve_scenarios
 from .transport import (
     SystemConfig,
     TemperatureScenario,
-    circulation_values,
-    cycle_products,
-    rectification_values,
+    bath_current,
+    metric_scenarios,
+    metric_values,
     regimes,
 )
 
@@ -62,8 +68,8 @@ class SweepAxis:
             raise ValueError(f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}")
         if self.count < 2:
             raise ValueError(f"axis {self.name}: point count must be >= 2")
-        if not self.start < self.stop:
-            raise ValueError(f"axis {self.name}: start must be < stop")
+        if not -inf < self.start < self.stop < inf:
+            raise ValueError(f"axis {self.name}: start must be < stop, both finite")
         if self.name in ("base_temperature", "hot_temperature") and self.start < 0:
             raise ValueError(f"axis {self.name}: temperatures must be >= 0")
         if self.name == "lambda_off" and self.start < 0:
@@ -85,7 +91,8 @@ class SweepSpec:
     hot_temperature axes override its base/hot values per grid point. passive
     controls the third bath in three-terminal rectification metrics: "base"
     (stays at the base temperature), "mean" ((base + hot)/2), or an explicit
-    number.
+    number. A flux axis re-derives the spectrum per point and, unless
+    repin_resonators is false, re-pins each resonator to its transition.
     """
 
     config: SystemConfig
@@ -109,8 +116,8 @@ class SweepSpec:
         if isinstance(self.passive, str):
             if self.passive not in ("base", "mean"):
                 raise ValueError('passive must be "base", "mean", or a temperature')
-        elif not float(self.passive) >= 0:
-            raise ValueError(f"passive temperature must be >= 0, got {self.passive}")
+        elif not 0 <= float(self.passive) < inf:
+            raise ValueError(f"passive temperature must be finite and >= 0, got {self.passive}")
 
     @property
     def metric_columns(self) -> tuple[str, ...]:
@@ -157,14 +164,13 @@ BLOCK_POINTS = 256
 def _templates(spec: SweepSpec):
     """Distinct channel-temperature templates of the scenarios a grid point
     needs, the base scenario's index, and per metric the indices of its
-    scenarios in the order the scalar API solves them. A template gives
-    channel a, b and c each "base", "hot", "mean" or a fixed temperature."""
+    transport.metric_scenarios. A template gives channel a, b and c each
+    "base", "hot", "mean" or a fixed temperature."""
     cfg, scen = spec.config, spec.scenario
     passive = spec.passive if isinstance(spec.passive, str) else float(spec.passive)
     templates: list[tuple] = []
 
-    def index(sources: dict) -> int:
-        t = tuple(sources.get(c, "base") for c in CHANNEL_IDS)
+    def index(t: tuple) -> int:
         if t not in templates:
             templates.append(t)
         return templates.index(t)
@@ -172,38 +178,10 @@ def _templates(spec: SweepSpec):
     def source(bath: str):
         return dict(scen.overrides).get(bath, "hot" if bath in scen.hot else "base")
 
-    base = index({c: source(cfg.bath_of(c)) for c in CHANNEL_IDS})
-    metrics = {}
-    for name in spec.metric_columns:
-        if name == "C":
-            metrics[name] = [index({m: "hot"}) for m in CHANNEL_IDS]
-        elif name.startswith("R2_"):
-            pair, single = name[3:5], name[6]
-            metrics[name] = [index({single: "hot"}), index(dict.fromkeys(pair, "hot"))]
-        else:
-            (rest,) = set(CHANNEL_IDS) - set(name[2:])
-            metrics[name] = [index({name[3]: "hot", rest: passive}),
-                             index({name[2]: "hot", rest: passive})]
+    base = index(tuple(source(cfg.bath_of(c)) for c in CHANNEL_IDS))
+    metrics = {name: [index(t) for t in metric_scenarios(name, passive)]
+               for name in spec.metric_columns}
     return templates, base, metrics
-
-
-def _bath_current(j: np.ndarray, channels) -> np.ndarray:
-    """(N,) current of the bath made of `channels`: the sum of theirs."""
-    return j[:, [CHANNEL_IDS.index(c) for c in channels]].sum(axis=1)
-
-
-def _metric(name: str, parts) -> tuple[np.ndarray, np.ndarray]:
-    """Values and 0/0 mask of one metric from its scenarios' (j, scale)."""
-    if name.startswith("R2_"):
-        (jf, sf), (jb, sb) = parts
-        return rectification_values(
-            _bath_current(jf, name[3:5]), _bath_current(jb, name[6]), np.maximum(sf, sb))
-    if name == "C":
-        (ja, sa), (jb, sb), (jc, sc) = parts
-        return circulation_values(*cycle_products(ja, jb, jc), 1.0 * sa * sb * sc)
-    (jf, sf), (jb, sb) = parts
-    return rectification_values(
-        _bath_current(jf, name[2]), _bath_current(jb, name[3]), np.maximum(sf, sb))
 
 
 def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: dict) -> list[tuple]:
@@ -260,12 +238,12 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
         baths = cfg.bath_ids()
         members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
         bath_t = temps[:, base_slot, [CHANNEL_IDS.index(m[0]) for m in members]]
-        bath_j = np.stack([_bath_current(j[rows], m) for m in members], axis=1)
+        bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
         regime[ok] = regimes(baths, bath_t[ok], bath_j[ok])[0]
     cells = []
     for name in spec.metric_columns:
         slots = metric_slots[name]
-        value, undefined = _metric(name, [(j[table[:, s]], scale[table[:, s]]) for s in slots])
+        value, undefined = metric_values(name, [(j[table[:, s]], scale[table[:, s]]) for s in slots])
         kind = failure[table[:, slots[0]]]
         for s in slots[1:]:
             kind = np.where(kind != 0, kind, failure[table[:, s]])
@@ -298,7 +276,21 @@ def _evaluate_chunk(spec: SweepSpec, start: int, stop: int) -> list[tuple]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the grid; output order is independent of worker count. Each
-    worker evaluates one contiguous range of rows in blocks of BLOCK_POINTS."""
+    worker evaluates one contiguous range of rows in blocks of BLOCK_POINTS.
+
+    With a quality_factor or log10_quality_factor axis, the resonator
+    linewidths at its lowest Q are checked against the level structure
+    (circuit.filter_width_advisories) and each advisory is a UserWarning.
+    """
+    q_axes = [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]
+    if q_axes:
+        ax = q_axes[0]
+        q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
+        # A fixed configuration without a valid spectrum flags every row instead.
+        with suppress(QutritHeatError):
+            resonators = {cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS}
+            for note in filter_width_advisories(spec.config.spectrum, resonators):
+                warnings.warn(note, stacklevel=2)
     n = len(spec.grid())
     if workers <= 1:
         rows = _evaluate_chunk(spec, 0, n)
@@ -308,42 +300,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             chunks = pool.map(_evaluate_chunk, [spec] * workers, bounds[:-1], bounds[1:])
             rows = [row for chunk in chunks for row in chunk]
     return SweepResult(columns=spec.columns, rows=tuple(rows))
-
-
-def run_map(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Temperature / coupling maps (no flux or quality-factor axis)."""
-    for ax in spec.axes:
-        if ax.name in ("flux", "quality_factor", "log10_quality_factor"):
-            raise ValueError(f"run_map does not take a {ax.name} axis")
-    return run_sweep(spec, workers=workers)
-
-
-def run_flux_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sweep with a flux axis; the spectrum is re-derived per point.
-
-    Unless the spec pins resonator frequencies explicitly, each resonator is
-    re-pinned to its assigned transition at every flux value. Points outside
-    the valid flux domain are flagged per row.
-    """
-    if not any(ax.name == "flux" for ax in spec.axes):
-        raise ValueError("run_flux_sweep requires a flux axis")
-    return run_sweep(spec, workers=workers)
-
-
-def run_q_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Sweep with a quality-factor axis, with a linewidth advisory check."""
-    q_axes = [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]
-    if not q_axes:
-        raise ValueError("run_q_sweep requires a quality_factor axis")
-    ax = q_axes[0]
-    q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
-    spectrum = spec.config.spectrum
-    resonators = {
-        cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS
-    }
-    for note in filter_width_advisories(spectrum, resonators):
-        warnings.warn(note, stacklevel=2)
-    return run_sweep(spec, workers=workers)
 
 
 def _format_cell(value) -> str:

@@ -5,6 +5,13 @@ the bath into the system, so at any steady state the three currents sum to
 zero. Scenario notation: the current "J_l when m is hot" is the probe bath
 l's current with bath m at the hot temperature and every other bath at the
 base temperature (unless explicitly overridden).
+
+This module is the one definition of every figure of merit. The scenarios of
+the three-terminal rectification R_ll', the two-reservoir rectification R2
+and the circulation coefficient C are metric_scenarios, their formulas and
+0/0 tests metric_values; rectification_3t, rectification_2t and circulation
+evaluate those at one point, and sweep.run_sweep on blocks of grid points.
+The regime labels are defined by regimes (classify_regime at one point).
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import inf
 from typing import Mapping
 
 import numpy as np
@@ -79,7 +87,7 @@ class TemperatureScenario:
 
     Baths listed in hot sit at hot_temperature, the rest at base, except for
     explicit per-bath overrides (stored sorted, so scenarios hash and compare
-    by value). All resulting temperatures must be non-negative.
+    by value). All resulting temperatures must be finite and non-negative.
     """
 
     hot: frozenset[str] = frozenset()
@@ -91,8 +99,8 @@ class TemperatureScenario:
         object.__setattr__(self, "hot", frozenset(self.hot))
         object.__setattr__(self, "overrides", tuple(sorted(dict(self.overrides).items())))
         temps = [self.base, self.hot_temperature] + [t for _, t in self.overrides]
-        if any(t < 0 for t in temps):
-            raise ValueError("scenario temperatures must be >= 0")
+        if not all(0 <= t < inf for t in temps):
+            raise ValueError(f"scenario temperatures must be finite and >= 0, got {temps}")
 
     def temperature(self, bath: str) -> float:
         for b, t in self.overrides:
@@ -122,10 +130,10 @@ class SystemConfig:
     resonators: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.q > 0:
-            raise ValueError("q must be positive")
-        if self.lambda_res < 0 or self.lambda_off < 0:
-            raise ValueError("coupling weights must be >= 0")
+        if not 0 < self.q < inf:
+            raise ValueError(f"q must be finite and positive, got {self.q}")
+        if not (0 <= self.lambda_res < inf and 0 <= self.lambda_off < inf):
+            raise ValueError("coupling weights must be finite and >= 0")
         if self.merged is not None:
             pair = tuple(sorted(self.merged))
             if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(CHANNEL_IDS):
@@ -135,8 +143,8 @@ class SystemConfig:
         for cid, w in self.resonators:
             if cid not in CHANNEL_IDS:
                 raise ValueError(f"unknown resonator channel {cid!r}")
-            if not w > 0:
-                raise ValueError(f"resonator {cid}: frequency must be positive")
+            if not 0 < w < inf:
+                raise ValueError(f"resonator {cid}: frequency must be finite and positive")
 
     @cached_property
     def spectrum(self) -> QutritSpectrum:
@@ -192,8 +200,8 @@ def solve_temperatures(
     """Solve the steady state at explicit per-bath temperatures: the batched
     kernel (steady.solve_scenarios) at N = 1, bit for bit a sweep cell."""
     temps = [temperatures[config.bath_of(cid)] for cid in CHANNEL_IDS]
-    if any(t < 0 for t in temps):
-        raise ValueError(f"temperatures must be >= 0, got {temps}")
+    if not all(0 <= t < inf for t in temps):
+        raise ValueError(f"temperatures must be finite and >= 0, got {temps}")
     freqs, omega_l = config.kernel_frequencies()
     f = np.array([freqs])
     pref = channel_prefactors(f, np.array([omega_l]), config.q, config.lambda_res, config.lambda_off)
@@ -282,44 +290,69 @@ def regimes(names, temperatures: np.ndarray, currents: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def rectification_values(j_forward, j_backward, scale):
-    """-(J_fwd - J_bwd) / (|J_fwd| + |J_bwd|) elementwise, and the mask where
-    it is 0/0: a denominator at most UNDEFINED_REL_TOL * scale."""
-    denom = abs(j_forward) + abs(j_backward)
+def metric_scenarios(name: str, passive="base") -> list[tuple]:
+    """Scenarios of metric `name` ("R_ll'", "R2_<pair>_<single>" or "C"), in
+    the order metric_values takes them. A scenario gives channel a, b and c
+    each a temperature source: "base", "hot", or, for the third bath of
+    R_ll', `passive` (a fixed temperature, or a source the caller resolves).
+
+    R_ll': l' hot, then l hot. R2: the single bath hot, then the merged pair
+    hot. C: a, b and c hot in turn.
+    """
+    if name == "C":
+        hot, third = CHANNEL_IDS, ""
+    elif name.startswith("R2_"):
+        hot, third = (name[6], name[3:5]), ""
+    else:
+        hot, third = (name[3], name[2]), "".join(set(CHANNEL_IDS) - set(name[2:4]))
+    return [tuple("hot" if c in h else passive if c in third else "base" for c in CHANNEL_IDS)
+            for h in hot]
+
+
+def bath_current(j: np.ndarray, channels) -> np.ndarray:
+    """(N,) current of the bath made of `channels` from (N, channel) j."""
+    return j[:, [CHANNEL_IDS.index(c) for c in channels]].sum(axis=1)
+
+
+def metric_values(name: str, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Values of metric `name` and the mask where it is 0/0 (a denominator at
+    most UNDEFINED_REL_TOL times the scale), from the (j, scale) of its
+    metric_scenarios: (N, channel) currents and (N,) gross scales.
+
+    R_ll' and R2 are -(J_fwd - J_bwd) / (|J_fwd| + |J_bwd|), J_fwd the
+    current of bath l (of the merged pair) in the first scenario and J_bwd
+    that of l' (of the single bath) in the second; +1 and -1 are perfect
+    diodes. C is (|J_cw| - |J_ccw|) / |J_cw + J_ccw| with J_cw = J_ab J_bc
+    J_ca and J_ccw = J_ac J_cb J_ba, J_lm bath l's current with m hot, and
+    its scale is the product of the three scales.
+    """
+    if name == "C":
+        (ja, sa), (jb, sb), (jc, sc) = parts
+        j_cw, j_ccw = jb[:, 0] * jc[:, 1] * ja[:, 2], jc[:, 0] * jb[:, 2] * ja[:, 1]
+        num, denom, scale = abs(j_cw) - abs(j_ccw), abs(j_cw + j_ccw), sa * sb * sc
+    else:
+        (jf, sf), (jb, sb) = parts
+        fwd, bwd = (name[3:5], name[6]) if name.startswith("R2_") else (name[2], name[3])
+        j_fwd, j_bwd = bath_current(jf, fwd), bath_current(jb, bwd)
+        num, denom, scale = -(j_fwd - j_bwd), abs(j_fwd) + abs(j_bwd), np.maximum(sf, sb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return -(j_forward - j_backward) / denom, denom <= UNDEFINED_REL_TOL * scale
+        return num / denom, denom <= UNDEFINED_REL_TOL * scale
 
 
-def circulation_values(j_cw, j_ccw, scale):
-    """(|J_cw| - |J_ccw|) / |J_cw + J_ccw| elementwise, and its 0/0 mask."""
-    denom = abs(j_cw + j_ccw)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (abs(j_cw) - abs(j_ccw)) / denom, denom <= UNDEFINED_REL_TOL * scale
-
-
-def cycle_products(j_a_hot, j_b_hot, j_c_hot):
-    """(J_cw, J_ccw) = (J_ab J_bc J_ca, J_ac J_cb J_ba), J_lm bath l's current
-    with m hot, from the single-hot scenarios' channel currents (last axis)."""
-    return (j_b_hot[..., 0] * j_c_hot[..., 1] * j_a_hot[..., 2],
-            j_c_hot[..., 0] * j_b_hot[..., 2] * j_a_hot[..., 1])
-
-
-def _defined(value_and_mask, why: str) -> float:
-    if value_and_mask[1]:
-        raise UndefinedCoefficient(why)
-    return float(value_and_mask[0])
-
-
-def rectification_from_currents(j_forward: float, j_backward: float, scale: float) -> float:
-    """-(J_fwd - J_bwd) / (|J_fwd| + |J_bwd|), guarded against 0/0."""
-    return _defined(rectification_values(np.float64(j_forward), np.float64(j_backward), scale),
-                    "forward and backward currents both vanish")
-
-
-def circulation_from_currents(j_cw: float, j_ccw: float, scale: float) -> float:
-    """(|J_cw| - |J_ccw|) / |J_cw + J_ccw|, guarded against 0/0."""
-    return _defined(circulation_values(np.float64(j_cw), np.float64(j_ccw), scale),
-                    "cycle current products cancel")
+def _coefficient(config: SystemConfig, name: str, base: float, hot: float,
+                 passive: float | None = None) -> float:
+    """Metric `name` at one point: its scenarios solved by solve_temperatures
+    with "base" at base, "hot" at hot and the passive bath at passive."""
+    source = {"base": base, "hot": hot}
+    parts = []
+    for scenario in metric_scenarios(name, "base" if passive is None else passive):
+        temps = {config.bath_of(c): source.get(s, s) for c, s in zip(CHANNEL_IDS, scenario)}
+        _, cur = solve_temperatures(config, temps)
+        parts.append((np.array([[cur.j_a, cur.j_b, cur.j_c]]), np.array([cur.scale])))
+    value, undefined = metric_values(name, parts)
+    if undefined[0]:
+        raise UndefinedCoefficient(f"{name} is 0/0 at base {base}, hot {hot}")
+    return float(value[0])
 
 
 def rectification_3t(
@@ -330,7 +363,7 @@ def rectification_3t(
     hot: float,
     passive_temperature: float | None = None,
 ) -> float:
-    """Three-terminal rectification between baths l and l'.
+    """Three-terminal rectification R_ll' between baths l and l'.
 
     Forward: l' hot, l (and the passive bath) at base; backward: roles
     swapped. The passive bath stays at base unless passive_temperature is
@@ -341,21 +374,7 @@ def rectification_3t(
         raise ValueError("three-terminal rectification needs three distinct baths")
     if l == l_prime or not {l, l_prime} <= set(CHANNEL_IDS):
         raise ValueError(f"need two distinct channels among a,b,c, got {l!r},{l_prime!r}")
-    overrides = ()
-    if passive_temperature is not None:
-        overrides = (((set(CHANNEL_IDS) - {l, l_prime}).pop(), passive_temperature),)
-    fwd = TemperatureScenario(
-        hot=frozenset({l_prime}), base=base, hot_temperature=hot, overrides=overrides
-    )
-    bwd = TemperatureScenario(
-        hot=frozenset({l}), base=base, hot_temperature=hot, overrides=overrides
-    )
-    baths = config.bath_ids()
-    _, cf = solve_temperatures(config, fwd.temperatures(baths))
-    _, cb = solve_temperatures(config, bwd.temperatures(baths))
-    j_fwd = cf.by_channel()[l]
-    j_bwd = cb.by_channel()[l_prime]
-    return rectification_from_currents(j_fwd, j_bwd, max(cf.scale, cb.scale))
+    return _coefficient(config, f"R_{l}{l_prime}", base, hot, passive_temperature)
 
 
 def rectification_2t(
@@ -374,33 +393,15 @@ def rectification_2t(
     pair = tuple(sorted(merged))
     if single in pair or not set(pair) <= set(CHANNEL_IDS) or len(set(pair)) != 2:
         raise ValueError(f"invalid merge {merged!r} against single {single!r}")
-    cfg = replace(config, merged=pair)
-    merged_bath = "".join(pair)
-    fwd = TemperatureScenario(hot=frozenset({single}), base=base, hot_temperature=hot)
-    bwd = TemperatureScenario(hot=frozenset({merged_bath}), base=base, hot_temperature=hot)
-    baths = cfg.bath_ids()
-    _, cf = solve_temperatures(cfg, fwd.temperatures(baths))
-    _, cb = solve_temperatures(cfg, bwd.temperatures(baths))
-    j_fwd = bath_currents(cfg, cf)[merged_bath]
-    j_bwd = bath_currents(cfg, cb)[single]
-    return rectification_from_currents(j_fwd, j_bwd, max(cf.scale, cb.scale))
+    return _coefficient(replace(config, merged=pair), f"R2_{pair[0]}{pair[1]}_{single}", base, hot)
 
 
 def circulation(config: SystemConfig, base: float, hot: float) -> float:
-    """Circulation coefficient from the six single-hot scenario currents.
+    """Circulation coefficient C from the three single-hot scenarios.
 
-    J_cw = J_{a,b} J_{b,c} J_{c,a} and J_ccw = J_{a,c} J_{c,b} J_{b,a},
-    where J_{l,m} is bath l's current with m hot and the others at base.
     Perfectly filtered couplings give zero circulation; |C| = 1 means the
     heat always circulates the same way around the triangle.
     """
     if config.merged is not None:
         raise ValueError("circulation needs three distinct baths")
-    j = []
-    scale = 1.0
-    for hot_bath in CHANNEL_IDS:
-        scen = TemperatureScenario(hot=frozenset({hot_bath}), base=base, hot_temperature=hot)
-        _, cur = solve_temperatures(config, scen.temperatures(config.bath_ids()))
-        j.append(np.array([cur.j_a, cur.j_b, cur.j_c]))
-        scale *= cur.scale
-    return circulation_from_currents(*cycle_products(*j), scale)
+    return _coefficient(config, "C", base, hot)

@@ -19,7 +19,6 @@ from qutrit_heat import (
     InvalidFlux,
     NonPositiveFrequency,
     QutritSpectrum,
-    UnitSystem,
     derive_spectrum,
     filter_width_advisories,
 )
@@ -140,12 +139,6 @@ def test_spectrum_invariant_validation():
     with pytest.raises(ValueError):
         QutritSpectrum(omega0=1.0, omega10=0.8, omega21=0.9, omega20=1.7,
                        omega32=0.7)
-
-
-def test_unit_system():
-    assert UnitSystem().omega_r == 1.0
-    with pytest.raises(ValueError):
-        UnitSystem(omega_r=0.0)
 
 
 def test_filter_width_advisory_flags_low_q():

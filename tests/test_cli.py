@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qutrit_heat.cli import _load_config, _parser, _sweep_spec_from_config, _validate, main
 
 
@@ -45,6 +47,20 @@ class TestSteady:
         code, out, err = run_cli(capsys, "steady", "--tb", "-1.0")
         assert code == 2
         assert "tb" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ta", "nan"), ("--ta", "inf"), ("--ec", "nan"), ("--flux", "nan"),
+        ("--lambda-off", "nan"), ("--q", "inf"), ("--ej", "inf"),
+    ])
+    def test_non_finite_number_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "steady", flag, value)
+        assert code == 2 and out == ""
+        assert flag[2:].replace("-", "_") in err
+
+    def test_invalid_flux_exits_2_also_when_dumping(self, capsys):
+        for extra in ((), ("--dump-config",)):
+            code, out, err = run_cli(capsys, "steady", "--flux", "5", *extra)
+            assert code == 2 and out == "" and "cos(phi/3)" in err
 
     def test_zero_temperature_solver_error_exits_3(self, capsys):
         code, out, err = run_cli(

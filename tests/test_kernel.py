@@ -209,3 +209,21 @@ def test_all_zero_temperature_point_is_a_reducible_chain_row():
     assert all(zero[c] is None for c in STATE + ("R_ab", "C", "regime", "residual"))
     warm = dict(zip(result.columns, result.rows[1]))
     assert warm["p0"] is not None
+
+
+def test_passive_bath_cells_equal_the_scalar_api():
+    cfg = SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2))
+    for passive in ("mean", 1.7):
+        spec = SweepSpec(
+            config=cfg,
+            scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.8, hot_temperature=1.0),
+            axes=(SweepAxis("hot_temperature", 1.5, 3.0, 4),),
+            metrics=("R_ab", "R_bc"),
+            passive=passive,
+        )
+        result = run_sweep(spec)
+        for (hot,), row in zip(spec.grid(), result.rows):
+            t = 0.5 * (0.8 + hot) if passive == "mean" else passive
+            got = dict(zip(result.columns, row))
+            assert got["R_ab"] == rectification_3t(cfg, "a", "b", 0.8, hot, passive_temperature=t)
+            assert got["R_bc"] == rectification_3t(cfg, "b", "c", 0.8, hot, passive_temperature=t)

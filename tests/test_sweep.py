@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,6 @@ from qutrit_heat import (
     UndefinedCoefficient,
     circulation,
     preset,
-    run_flux_sweep,
-    run_map,
-    run_q_sweep,
     run_sweep,
     write_csv,
 )
@@ -105,7 +103,7 @@ class TestRunSweep:
              SweepAxis("hot_temperature", 1.5, 2.5, 4)),
             metrics=("R_ab", "C"),
         )
-        res = run_map(s)
+        res = run_sweep(s)
         assert res.columns == s.columns
         assert len(res.rows) == 12
         for row, point in zip(res.rows, s.grid()):
@@ -145,13 +143,6 @@ class TestRunSweep:
 
 
 class TestFluxSweep:
-    def test_requires_flux_axis(self):
-        s = spec((SweepAxis("hot_temperature", 1.0, 2.0, 3),))
-        with pytest.raises(ValueError):
-            run_flux_sweep(s)
-        with pytest.raises(ValueError):
-            run_map(spec((SweepAxis("flux", 0.0, 1.0, 3),)))
-
     def test_invalid_flux_rows_flagged(self):
         s = spec(
             (SweepAxis("flux", 4.0, 5.0, 5),),  # domain edge at 3*pi/2 ~ 4.712
@@ -159,7 +150,7 @@ class TestFluxSweep:
             scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.9,
                                          hot_temperature=3.0),
         )
-        res = run_flux_sweep(s)
+        res = run_sweep(s)
         flags = [r[res.columns.index("flags")] for r in res.rows]
         assert any("error:InvalidFlux" in f for f in flags)
         assert any(f == "" for f in flags)
@@ -173,7 +164,7 @@ class TestFluxSweep:
             scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.9,
                                          hot_temperature=3.0),
         )
-        res = run_flux_sweep(s)
+        res = run_sweep(s)
         row = res.rows[0]
         c_direct = circulation(config(), 0.9, 3.0)
         assert row[res.columns.index("C")] == c_direct
@@ -187,21 +178,28 @@ class TestFluxSweep:
             scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.9,
                                          hot_temperature=3.0),
         )
-        res = run_flux_sweep(s)
+        res = run_sweep(s)
         row = res.rows[1]
         cfg_pi = config(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi))
         assert row[res.columns.index("C")] == circulation(cfg_pi, 0.9, 3.0)
 
 
 class TestQSweep:
-    def test_requires_q_axis(self):
-        with pytest.raises(ValueError):
-            run_q_sweep(spec((SweepAxis("hot_temperature", 1.0, 2.0, 3),)))
-
     def test_low_q_advisory_warns(self):
         s = spec((SweepAxis("quality_factor", 8.0, 100.0, 3),), metrics=("C",))
         with pytest.warns(UserWarning, match="linewidth"):
-            run_q_sweep(s)
+            run_sweep(s)
+        # only a Q axis is checked, not a low Q fixed in the configuration
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*linewidth")
+            run_sweep(spec((SweepAxis("hot_temperature", 1.0, 2.0, 2),), cfg=config(q=8.0)))
+
+    def test_advisory_skips_a_config_without_spectrum(self):
+        with pytest.warns(UserWarning, match="e_j/e_c"):
+            deep = config(circuit=CircuitParams(e_j=0.3, e_c=1.0, phi=0.0))
+        res = run_sweep(spec((SweepAxis("quality_factor", 8.0, 100.0, 2),), cfg=deep))
+        flags = [r[res.columns.index("flags")] for r in res.rows]
+        assert flags == ["error:NonPositiveFrequency"] * 2
 
     def test_log_axis_sets_quality_factor(self):
         s = spec(
@@ -210,7 +208,7 @@ class TestQSweep:
             scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.9,
                                          hot_temperature=3.0),
         )
-        res = run_q_sweep(s)
+        res = run_sweep(s)
         c_q100 = circulation(config(q=100.0), 0.9, 3.0)
         c_q1000 = circulation(config(q=1000.0), 0.9, 3.0)
         assert res.rows[0][res.columns.index("C")] == c_q100
@@ -295,7 +293,7 @@ class TestPresets:
         assert preset("fig6").metrics == ("R_ab",)
 
     def test_fig7c_shows_circulation_reversal(self):
-        res = run_flux_sweep(preset("fig7c"))
+        res = run_sweep(preset("fig7c"))
         c_idx = res.columns.index("C")
         flags_idx = res.columns.index("flags")
         assert all(r[flags_idx] == "" for r in res.rows)

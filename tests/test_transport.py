@@ -21,10 +21,7 @@ from qutrit_heat import (
     solve_temperatures,
     transport_report,
 )
-from qutrit_heat.transport import (
-    circulation_from_currents,
-    rectification_from_currents,
-)
+from qutrit_heat.transport import metric_values
 
 QUARTER_FLUX = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 
@@ -33,6 +30,15 @@ def config(**kw) -> SystemConfig:
     base = dict(circuit=QUARTER_FLUX, q=100.0, lambda_res=1.0, lambda_off=1.0)
     base.update(kw)
     return SystemConfig(**base)
+
+
+def value(name, *currents, scale=1.0):
+    """metric_values at one point whose k-th scenario has channel currents
+    currents[k] and gross scale `scale`; raises UndefinedCoefficient at 0/0."""
+    v, undefined = metric_values(name, [(np.array([j]), np.array([scale])) for j in currents])
+    if undefined[0]:
+        raise UndefinedCoefficient(name)
+    return float(v[0])
 
 
 def scenario(hot=(), base=1.0, hot_temperature=1.0, overrides=()):
@@ -116,11 +122,12 @@ class TestScenarios:
 
 class TestRectification3T:
     def test_formula_sign_structure(self):
-        assert rectification_from_currents(-0.5, 0.3, 1.0) == 1.0
-        assert rectification_from_currents(0.4, 0.4, 1.0) == 0.0
-        assert rectification_from_currents(0.5, -0.3, 1.0) == -1.0
+        # R_ab: J_fwd is bath a's current with b hot, J_bwd bath b's with a hot
+        assert value("R_ab", [-0.5, 0.0, 0.5], [0.0, 0.3, -0.3]) == 1.0
+        assert value("R_ab", [0.4, 0.0, -0.4], [0.0, 0.4, -0.4]) == 0.0
+        assert value("R_ab", [0.5, 0.0, -0.5], [0.0, -0.3, 0.3]) == -1.0
         with pytest.raises(UndefinedCoefficient):
-            rectification_from_currents(0.0, 0.0, 1.0)
+            value("R_ab", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
     def test_equilibrium_is_undefined(self):
         with pytest.raises(UndefinedCoefficient):
@@ -181,8 +188,9 @@ class TestRectification3T:
 
 class TestRectification2T:
     def test_formula_arithmetic(self):
-        # components (+0.2, +0.3, -0.5): R = -(0.5 - (-0.5)) / (0.5 + 0.5)
-        assert rectification_from_currents(0.2 + 0.3, -0.5, 1.0) == -1.0
+        # merged bath bc draws +0.2 + 0.3 with a hot, bath a -0.5 with bc hot:
+        # R = -(0.5 - (-0.5)) / (0.5 + 0.5)
+        assert value("R2_bc_a", [-0.5, 0.2, 0.3], [-0.5, 0.25, 0.25]) == -1.0
 
     def test_equilibrium_is_undefined(self):
         with pytest.raises(UndefinedCoefficient):
@@ -201,9 +209,11 @@ class TestRectification2T:
 
 class TestCirculation:
     def test_formula_arithmetic(self):
-        assert circulation_from_currents(2.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
+        # scenarios a, b, c hot: J_cw = J_ab J_bc J_ca = 2, J_ccw = J_ac J_cb J_ba = 1
+        j_a_hot, j_b_hot, j_c_hot = [0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]
+        assert value("C", j_a_hot, j_b_hot, j_c_hot) == pytest.approx(1.0 / 3.0)
         with pytest.raises(UndefinedCoefficient):
-            circulation_from_currents(0.0, 0.0, 1.0)
+            value("C", [0.0] * 3, [0.0] * 3, [0.0] * 3)
 
     def test_ideal_filtering_gives_no_circulation(self):
         cfg = config(lambda_off=0.0)
@@ -326,3 +336,26 @@ class TestTransportReport:
         assert scen.temperature("c") == 3.0
         with pytest.raises(ValueError):
             TemperatureScenario(hot=frozenset(), base=-1.0, hot_temperature=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(bad):
+    # NaN fails every comparison, so a check written as `t < 0` let it pass
+    # and the kernel solved it as T = 0.
+    with pytest.raises(ValueError):
+        TemperatureScenario(base=bad)
+    with pytest.raises(ValueError):
+        TemperatureScenario(hot=frozenset({"a"}), hot_temperature=bad)
+    with pytest.raises(ValueError):
+        solve_temperatures(config(), {"a": bad, "b": 1.0, "c": 1.0})
+    with pytest.raises(ValueError):
+        rectification_3t(config(), "a", "b", bad, 2.0)
+    with pytest.raises(ValueError):
+        rectification_3t(config(), "a", "b", 1.0, 2.0, passive_temperature=bad)
+    for kw in ({"e_j": bad}, {"e_c": bad}, {"phi": bad}):
+        with pytest.raises(ValueError):
+            CircuitParams(**{"e_j": 5.0, "e_c": 0.5, **kw})
+    for kw in ({"q": bad}, {"lambda_res": bad}, {"lambda_off": bad},
+               {"resonators": (("a", bad),)}):
+        with pytest.raises(ValueError):
+            config(**kw)
