@@ -140,27 +140,18 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
 
 
 def _validate(cfg: dict) -> dict:
+    """Types, finiteness, temperatures, merge, seed and jumps. The ranges of
+    the system values are checked once, by CircuitParams and SystemConfig;
+    _system_config turns their ValueError into a ConfigError (exit 2)."""
     for key in _SCALAR_FLAGS + ("seed", "jumps"):
         value = cfg[key]
         if value is not None and not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         if isinstance(value, float) and not isfinite(value):
             raise ConfigError(f"{key}: must be finite, got {value}")
-    if not cfg["ej"] > 0:
-        raise ConfigError(f"ej: must be positive, got {cfg['ej']}")
-    if cfg["ec"] < 0:
-        raise ConfigError(f"ec: must be >= 0, got {cfg['ec']}")
-    if not cfg["q"] > 0:
-        raise ConfigError(f"q: must be positive, got {cfg['q']}")
-    for key in ("lambda_res", "lambda_off"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key}: must be >= 0, got {cfg[key]}")
     for key in ("ta", "tb", "tc"):
         if cfg[key] < 0:
             raise ConfigError(f"{key}: temperature must be >= 0, got {cfg[key]}")
-    for key in ("omega_a", "omega_b", "omega_c"):
-        if cfg[key] is not None and not cfg[key] > 0:
-            raise ConfigError(f"{key}: must be positive, got {cfg[key]}")
     if cfg["merge"] is not None:
         parts = [p.strip() for p in str(cfg["merge"]).split(",")]
         if len(parts) != 2 or parts[0] == parts[1] or not set(parts) <= set(CHANNEL_IDS):

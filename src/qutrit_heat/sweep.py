@@ -14,14 +14,13 @@ of grid points, solves it in one kernel call and assembles the rows.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
-from math import inf, log10, pi
+from math import inf, log10, pi, prod
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -163,9 +162,9 @@ BLOCK_POINTS = 256
 
 def _templates(spec: SweepSpec):
     """Distinct channel-temperature templates of the scenarios a grid point
-    needs, the base scenario's index, and per metric the indices of its
-    transport.metric_scenarios. A template gives channel a, b and c each
-    "base", "hot", "mean" or a fixed temperature."""
+    needs, the base scenario's index, and per metric defined on the config
+    the indices of its transport.metric_scenarios. A template gives channel
+    a, b and c each "base", "hot", "mean" or a fixed temperature."""
     cfg, scen = spec.config, spec.scenario
     passive = spec.passive if isinstance(spec.passive, str) else float(spec.passive)
     templates: list[tuple] = []
@@ -179,8 +178,10 @@ def _templates(spec: SweepSpec):
         return dict(scen.overrides).get(bath, "hot" if bath in scen.hot else "base")
 
     base = index(tuple(source(cfg.bath_of(c)) for c in CHANNEL_IDS))
-    metrics = {name: [index(t) for t in metric_scenarios(name, passive)]
-               for name in spec.metric_columns}
+    metrics = {}
+    for name in spec.metric_columns:
+        with suppress(ValueError):  # not defined on cfg: every row is flagged
+            metrics[name] = [index(t) for t in metric_scenarios(name, passive, cfg.merged)]
     return templates, base, metrics
 
 
@@ -190,15 +191,17 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
     a point are solved once). spectra caches the kernel frequencies (or the
     error name) per flux value across the blocks of a chunk."""
     n, cfg, scen = len(points), spec.config, spec.scenario
-    axis = {ax.name: [p[i] for p in points] for i, ax in enumerate(spec.axes)}
+    values = [[p[i] for p in points] for i in range(len(spec.axes))]
+    axis = {ax.name: v for ax, v in zip(spec.axes, values)}
     if "log10_quality_factor" in axis:
         axis["quality_factor"] = [10.0 ** v for v in axis["log10_quality_factor"]]
     base, hot, q, lambda_off = (
         np.array(axis.get(key, [default] * n), dtype=float)
         for key, default in (("base_temperature", scen.base), ("hot_temperature", scen.hot_temperature),
                              ("quality_factor", cfg.q), ("lambda_off", cfg.lambda_off)))
-    freqs, omega_l, error = np.ones((n, 3)), np.ones((n, 3)), [""] * n
-    for k, phi in enumerate(axis.get("flux", [None] * n)):
+    fluxes = axis.get("flux", [None])
+    distinct = {phi: k for k, phi in enumerate(dict.fromkeys(fluxes))}
+    for phi in distinct:
         if phi not in spectra:
             try:
                 point_cfg = cfg if phi is None else replace(
@@ -207,20 +210,21 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
                 spectra[phi] = point_cfg.kernel_frequencies()
             except (QutritHeatError, ValueError, ArithmeticError) as exc:
                 spectra[phi] = type(exc).__name__
-        if isinstance(spectra[phi], str):
-            error[k] = spectra[phi]
-        else:
-            freqs[k], omega_l[k] = spectra[phi]
+    looked = [spectra[phi] for phi in distinct]
+    index = [distinct[phi] for phi in fluxes] if "flux" in axis else [0] * n
+    freqs, omega_l = np.array([np.ones((2, 3)) if isinstance(s, str) else s for s in looked])[
+        index].transpose(1, 0, 2)
+    error = np.array([s if isinstance(s, str) else "" for s in looked], dtype=object)[index]
 
     templates, base_slot, metric_slots = _templates(spec)
     sources = {"base": base, "hot": hot, "mean": 0.5 * (base + hot)}
     temps = np.stack([np.stack([sources[s] if isinstance(s, str) else np.full(n, s) for s in t],
                                axis=1) for t in templates], axis=1)  # (point, slot, channel)
     first = (temps[:, :, None, :] == temps[:, None, :, :]).all(axis=3).argmax(axis=2)
-    keep = (first == np.arange(len(templates))) & np.array([not e for e in error])[:, None]
+    keep = (first == np.arange(len(templates))) & (error == "")[:, None]
     blank = (None,) * (6 + len(spec.metric_columns))
     if not keep.any():
-        return [values + blank + (None, None, f"error:{e}") for values, e in zip(points, error)]
+        return [point + blank + (None, None, f"error:{e}") for point, e in zip(points, error)]
     table = np.zeros(keep.shape, dtype=int)
     table[keep] = np.arange(int(keep.sum()))
     table = np.take_along_axis(table, first, axis=1)  # (point, slot) -> scenario
@@ -230,41 +234,36 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
     failure = failure_codes(residual, connected)
 
     rows = table[:, base_slot]
-    error = [e or FAILURE_KINDS[f] for e, f in zip(error, failure[rows].tolist())]
-    ok = np.array([not e for e in error])
-    flags: list[list[str]] = [[] for _ in range(n)]
+    error = np.where(error == "", np.array(FAILURE_KINDS, dtype=object)[failure[rows]], error)
+    ok = error == ""
+    baths = cfg.bath_ids()
+    members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
+    bath_t = temps[:, base_slot, [CHANNEL_IDS.index(m[0]) for m in members]]
+    bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
     regime = np.full(n, None, dtype=object)
-    if ok.any():
-        baths = cfg.bath_ids()
-        members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
-        bath_t = temps[:, base_slot, [CHANNEL_IDS.index(m[0]) for m in members]]
-        bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
-        regime[ok] = regimes(baths, bath_t[ok], bath_j[ok])[0]
+    regime[ok] = regimes(baths, bath_t[ok], bath_j[ok])[0]
+    ambiguous = np.flatnonzero(ok & np.equal(regime, None)).tolist()
+    flags = {k: ["error:AmbiguousExtremum"] for k in ambiguous}
     cells = []
     for name in spec.metric_columns:
-        slots = metric_slots[name]
-        value, undefined = metric_values(name, [(j[table[:, s]], scale[table[:, s]]) for s in slots])
-        kind = failure[table[:, slots[0]]]
-        for s in slots[1:]:
-            kind = np.where(kind != 0, kind, failure[table[:, s]])
-        if cfg.merged and not name.startswith("R2_"):
-            kind = np.full(n, 2)  # ValueError, as the scalar API raises for two baths
+        if name not in metric_slots:  # ValueError, as the scalar API raises
+            value, undefined, kind = np.zeros(n), False, np.full(n, FAILURE_KINDS.index("ValueError"))
+        else:
+            slots = metric_slots[name]
+            value, undefined = metric_values(name, [(j[table[:, s]], scale[table[:, s]]) for s in slots])
+            codes = failure[table[:, slots]]  # the first failing scenario names the kind
+            kind = codes[np.arange(n), (codes != 0).argmax(axis=1)]
         column = value.tolist()
-        for k in np.flatnonzero(ok & ((kind != 0) | undefined)):
-            flags[k].append(f"error:{FAILURE_KINDS[kind[k]]}:{name}" if kind[k] else f"undefined:{name}")
+        for k in np.flatnonzero(ok & ((kind != 0) | undefined)).tolist():
+            flags.setdefault(k, []).append(
+                f"error:{FAILURE_KINDS[kind[k]]}:{name}" if kind[k] else f"undefined:{name}")
             column[k] = None
         cells.append(column)
 
-    out = []
-    for k, (values, pk, jk, res) in enumerate(
-            zip(points, p[rows].tolist(), j[rows].tolist(), residual[rows].tolist())):
-        if not ok[k]:
-            out.append(values + blank + (None, None, f"error:{error[k]}"))
-            continue
-        if regime[k] is None:
-            flags[k].insert(0, "error:AmbiguousExtremum")
-        out.append(values + tuple(pk) + tuple(jk) + tuple(c[k] for c in cells)
-                   + (regime[k], res, ";".join(flags[k])))
+    out = list(zip(*values, *p[rows].T.tolist(), *j[rows].T.tolist(), *cells, regime.tolist(),
+                   residual[rows].tolist(), [";".join(flags.get(k, ())) for k in range(n)]))
+    for k in np.flatnonzero(~ok).tolist():
+        out[k] = points[k] + blank + (None, None, f"error:{error[k]}")
     return out
 
 
@@ -291,7 +290,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             resonators = {cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS}
             for note in filter_width_advisories(spec.config.spectrum, resonators):
                 warnings.warn(note, stacklevel=2)
-    n = len(spec.grid())
+    n = prod(ax.count for ax in spec.axes)
     if workers <= 1:
         rows = _evaluate_chunk(spec, 0, n)
     else:
@@ -302,32 +301,30 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(columns=spec.columns, rows=tuple(rows))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_csv(result: SweepResult, destination) -> None:
-    """Write header plus rows; floats carry 17 significant digits.
+    """Write the header and one line per row to a path or a text stream.
 
-    Undefined or errored cells are empty fields. Rewriting the same result
-    produces a byte-identical file.
+    A float cell is written as %.17g, any other cell as str() and None as an
+    empty field. No field is quoted: column names, regime labels and flags
+    hold no comma, quote or line break. Lines end in a line feed. The bytes
+    depend on the rows only, not on the worker count or BLOCK_POINTS. Each
+    line is one %-format of a template cached per row of cell types.
     """
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as fh:
-            _write_csv_stream(result, fh)
-    else:
-        _write_csv_stream(result, destination)
+    templates: dict[tuple[type, ...], tuple[str, bool]] = {}
 
+    def line(row: tuple) -> str:
+        types = tuple(map(type, row))
+        if types not in templates:
+            cells = ("" if t is NoneType else "%.17g" if issubclass(t, float) else "%s"
+                     for t in types)
+            templates[types] = ",".join(cells) + "\n", NoneType in types
+        template, sparse = templates[types]
+        return template % (tuple(c for c in row if c is not None) if sparse else row)
 
-def _write_csv_stream(result: SweepResult, stream: io.TextIOBase) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(result.columns)
-    for row in result.rows:
-        writer.writerow([_format_cell(c) for c in row])
+    path = isinstance(destination, (str, Path))
+    with open(destination, "w", newline="") if path else nullcontext(destination) as stream:
+        stream.write(",".join(result.columns) + "\n")
+        stream.writelines(map(line, result.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -290,15 +290,18 @@ def regimes(names, temperatures: np.ndarray, currents: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def metric_scenarios(name: str, passive="base") -> list[tuple]:
+def metric_scenarios(name: str, passive="base", merged=None) -> list[tuple]:
     """Scenarios of metric `name` ("R_ll'", "R2_<pair>_<single>" or "C"), in
     the order metric_values takes them. A scenario gives channel a, b and c
     each a temperature source: "base", "hot", or, for the third bath of
     R_ll', `passive` (a fixed temperature, or a source the caller resolves).
 
     R_ll': l' hot, then l hot. R2: the single bath hot, then the merged pair
-    hot. C: a, b and c hot in turn.
+    hot. C: a, b and c hot in turn. R_ll' and C need three distinct baths:
+    with a `merged` channel pair (SystemConfig.merged) they raise ValueError.
     """
+    if merged is not None and not name.startswith("R2_"):
+        raise ValueError(f"{name} needs three distinct baths, got channels {merged} merged")
     if name == "C":
         hot, third = CHANNEL_IDS, ""
     elif name.startswith("R2_"):
@@ -345,7 +348,7 @@ def _coefficient(config: SystemConfig, name: str, base: float, hot: float,
     with "base" at base, "hot" at hot and the passive bath at passive."""
     source = {"base": base, "hot": hot}
     parts = []
-    for scenario in metric_scenarios(name, "base" if passive is None else passive):
+    for scenario in metric_scenarios(name, "base" if passive is None else passive, config.merged):
         temps = {config.bath_of(c): source.get(s, s) for c, s in zip(CHANNEL_IDS, scenario)}
         _, cur = solve_temperatures(config, temps)
         parts.append((np.array([[cur.j_a, cur.j_b, cur.j_c]]), np.array([cur.scale])))
@@ -368,10 +371,8 @@ def rectification_3t(
     Forward: l' hot, l (and the passive bath) at base; backward: roles
     swapped. The passive bath stays at base unless passive_temperature is
     given. +1 and -1 are perfect diodes (heat flows the same way between l
-    and l' in both scenarios).
+    and l' in both scenarios). ValueError for a config with merged baths.
     """
-    if config.merged is not None:
-        raise ValueError("three-terminal rectification needs three distinct baths")
     if l == l_prime or not {l, l_prime} <= set(CHANNEL_IDS):
         raise ValueError(f"need two distinct channels among a,b,c, got {l!r},{l_prime!r}")
     return _coefficient(config, f"R_{l}{l_prime}", base, hot, passive_temperature)
@@ -400,8 +401,7 @@ def circulation(config: SystemConfig, base: float, hot: float) -> float:
     """Circulation coefficient C from the three single-hot scenarios.
 
     Perfectly filtered couplings give zero circulation; |C| = 1 means the
-    heat always circulates the same way around the triangle.
+    heat always circulates the same way around the triangle. ValueError for
+    a config with merged baths.
     """
-    if config.merged is not None:
-        raise ValueError("circulation needs three distinct baths")
     return _coefficient(config, "C", base, hot)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -138,7 +139,32 @@ class TestConfigHandling:
         assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--ej", "0"), ("--ej", "-1"), ("--ec", "-0.5"), ("--q", "0"), ("--q", "-1"),
+    ("--lambda-res", "-1"), ("--lambda-off", "-1"), ("--omega-a", "0"), ("--omega-c", "-2"),
+])
+def test_out_of_range_system_value_exits_2(tmp_path, capsys, flag, value):
+    # range checks live in CircuitParams and SystemConfig; the CLI maps them to exit 2
+    out_csv = tmp_path / "x.csv"
+    for command in (("steady",), ("verify",), ("sweep", "--preset", "fig5", "--out", str(out_csv))):
+        for extra in ((), ("--dump-config",)):
+            code, out, err = run_cli(capsys, *command, flag, value, *extra)
+            assert (code, out) == (2, ""), (command, extra)
+            assert err.startswith("error: ")
+    assert not out_csv.exists()
+
+
 class TestSweep:
+    @pytest.mark.parametrize("name, digest", [
+        ("fig3", "a273a58c8c5d2d25cc3b24f2322abe41d59a1b35e9a631222fff51903743c968"),
+        ("fig7c", "3d643b92df41d583311bbcbe935a374b3edba1b0e4d15561e53fa7b2fb76d647"),
+    ])
+    def test_preset_csv_bytes_are_pinned(self, tmp_path, capsys, name, digest):
+        out_csv = tmp_path / f"{name}.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--preset", name, "--out", str(out_csv))
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
     def test_unknown_preset_lists_names(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--preset", "fig99",

@@ -196,7 +196,7 @@ def test_csv_bytes_independent_of_block_size_and_workers(monkeypatch):
         assert csv_bytes(run_sweep(spec)) == reference
 
 
-def test_all_zero_temperature_point_is_a_reducible_chain_row():
+def test_all_zero_temperature_point_is_a_reducible_chain_row(monkeypatch):
     spec = SweepSpec(
         config=SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)),
         scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.0, hot_temperature=0.0),
@@ -209,6 +209,9 @@ def test_all_zero_temperature_point_is_a_reducible_chain_row():
     assert all(zero[c] is None for c in STATE + ("R_ab", "C", "regime", "residual"))
     warm = dict(zip(result.columns, result.rows[1]))
     assert warm["p0"] is not None
+    # a block whose every point fails in the kernel gives the same rows
+    monkeypatch.setattr(sweep_module, "BLOCK_POINTS", 1)
+    assert run_sweep(spec) == result
 
 
 def test_passive_bath_cells_equal_the_scalar_api():

@@ -2,25 +2,34 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_heat import (
     CircuitParams,
     PRESETS,
+    QutritHeatError,
     SweepAxis,
     SweepSpec,
+    SweepResult,
     SystemConfig,
     TemperatureScenario,
     UndefinedCoefficient,
     circulation,
     preset,
+    rectification_2t,
     run_sweep,
     write_csv,
 )
+from qutrit_heat.steady import FAILURE_KINDS
+from qutrit_heat.sweep import AXIS_NAMES, METRIC_COLUMNS
 
 QUARTER_FLUX = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 
@@ -141,6 +150,25 @@ class TestRunSweep:
         s = spec((SweepAxis("hot_temperature", 1.0, 3.0, 7),), metrics=("C",))
         assert run_sweep(s) == run_sweep(s)
 
+    def test_both_quality_axes_keep_their_grid_values(self):
+        # the log10 axis sets Q, yet each axis column holds its own values
+        s = spec((SweepAxis("log10_quality_factor", 1.0, 3.0, 3),
+                  SweepAxis("quality_factor", 10.0, 100.0, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_sweep(s)
+        assert [row[:2] for row in res.rows] == s.grid()
+
+    def test_merged_config_flags_three_bath_metrics(self):
+        s = spec((SweepAxis("hot_temperature", 1.5, 3.0, 3),),
+                 metrics=("R_ab", "R2_bc_a", "C"), cfg=config(merged=("b", "c")))
+        res = run_sweep(s)
+        for (hot,), row in zip(s.grid(), res.rows):
+            got = dict(zip(res.columns, row))
+            assert got["flags"] == "error:ValueError:R_ab;error:ValueError:C"
+            assert got["R_ab"] is None and got["C"] is None
+            assert got["R2_bc_a"] == rectification_2t(config(), ("b", "c"), "a", 0.9, hot)
+
 
 class TestFluxSweep:
     def test_invalid_flux_rows_flagged(self):
@@ -234,6 +262,57 @@ class TestQSweep:
         assert t50 > t1000 > 0.0
 
 
+def reference_csv(result: SweepResult) -> str:
+    """The csv.writer serialisation that write_csv must reproduce byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(result.columns)
+    for row in result.rows:
+        writer.writerow(["" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                         for v in row])
+    return buf.getvalue()
+
+
+def written(result: SweepResult) -> str:
+    buf = io.StringIO()
+    write_csv(result, buf)
+    return buf.getvalue()
+
+
+STATE_COLUMNS = ("p0", "p1", "p2", "j_a", "j_b", "j_c")
+BATHS = sorted({b for merged in (None, ("a", "b"), ("a", "c"), ("b", "c"))
+                for b in config(merged=merged).bath_ids()})
+REGIMES = ["none"] + [f"{kind}_{b}" for kind in "RP" for b in BATHS]
+# every exception class whose name the engine can write into a flag
+ERRORS = sorted({*FAILURE_KINDS[1:]} | {
+    c.__name__ for root in (QutritHeatError, ValueError, ArithmeticError)
+    for c in (root, *root.__subclasses__())})
+FLAG_ITEMS = ([f"error:{e}" for e in ERRORS] + [f"undefined:{m}" for m in METRIC_COLUMNS]
+              + [f"error:{e}:{m}" for e in ERRORS for m in METRIC_COLUMNS])
+FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]))
+FLAGS = st.lists(st.sampled_from(FLAG_ITEMS), max_size=3).map(";".join)
+TEXT = st.one_of(st.sampled_from(REGIMES), FLAGS,
+                 st.text(st.characters(blacklist_characters=',"\r\n'), max_size=8))
+
+
+@st.composite
+def sweep_results(draw) -> SweepResult:
+    axes = tuple(draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=1, max_size=2, unique=True)))
+    metrics = tuple(draw(st.lists(st.sampled_from(METRIC_COLUMNS), max_size=4, unique=True)))
+    columns = axes + STATE_COLUMNS + metrics + ("regime", "residual", "flags")
+    values = st.tuples(*[FLOATS] * len(axes))
+    error_row = st.builds(lambda v, e: v + (None,) * (8 + len(metrics)) + (f"error:{e}",),
+                          values, st.sampled_from(ERRORS))
+    engine_row = st.builds(
+        lambda v, state, cells, *tail: v + state + cells + tail,
+        values, st.tuples(*[FLOATS] * 6), st.tuples(*[st.none() | FLOATS] * len(metrics)),
+        st.none() | st.sampled_from(REGIMES), FLOATS,
+        FLAGS | FLAGS.map(lambda f: "error:AmbiguousExtremum" + (f and ";" + f)))
+    any_row = st.tuples(*[st.one_of(st.none(), FLOATS, TEXT)] * len(columns))
+    rows = draw(st.lists(st.one_of(error_row, engine_row, any_row), max_size=12))
+    return SweepResult(columns=columns, rows=tuple(rows))
+
+
 class TestCsv:
     def test_format_and_determinism(self, tmp_path):
         s = spec(
@@ -265,6 +344,23 @@ class TestCsv:
         header = out.read_text().splitlines()[0]
         assert header == ("hot_temperature,p0,p1,p2,j_a,j_b,j_c,"
                           "regime,residual,flags")
+
+    @settings(max_examples=300, deadline=None)
+    @given(result=sweep_results())
+    def test_bytes_equal_the_csv_module(self, result):
+        assert written(result) == reference_csv(result)
+
+    def test_sweep_bytes_equal_the_csv_module(self):
+        s = spec((SweepAxis("base_temperature", 0.0, 1.5, 4),
+                  SweepAxis("hot_temperature", 0.0, 2.0, 5)), metrics=("R_ab", "R_bc", "C"))
+        res = run_sweep(s)
+        assert any(None in row for row in res.rows) and written(res) == reference_csv(res)
+
+    def test_engine_strings_need_no_quoting(self):
+        # the writer has no quoting path, so no string the engine emits may need one
+        columns = AXIS_NAMES + STATE_COLUMNS + METRIC_COLUMNS + ("regime", "residual", "flags")
+        for text in (*columns, *REGIMES, *FLAG_ITEMS, "error:AmbiguousExtremum"):
+            assert not set(text) & set(',"\r\n'), text
 
 
 class TestPresets:

@@ -21,7 +21,7 @@ from qutrit_heat import (
     solve_temperatures,
     transport_report,
 )
-from qutrit_heat.transport import metric_values
+from qutrit_heat.transport import metric_scenarios, metric_values
 
 QUARTER_FLUX = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 
@@ -250,6 +250,13 @@ class TestCirculation:
     def test_merged_config_rejected(self):
         with pytest.raises(ValueError):
             circulation(config(merged=("a", "b")), 0.9, 2.0)
+
+
+def test_three_bath_metrics_reject_merged_baths():
+    for name in ("R_ab", "R_ca", "C"):
+        with pytest.raises(ValueError, match="three distinct baths"):
+            metric_scenarios(name, merged=("b", "c"))
+    assert metric_scenarios("R2_bc_a", merged=("b", "c")) == metric_scenarios("R2_bc_a")
 
 
 class TestRegimeClassifier:
