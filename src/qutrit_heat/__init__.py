@@ -16,7 +16,6 @@ from .circuit import (
 )
 from .errors import (
     AmbiguousExtremum,
-    ChannelMismatch,
     ConfigError,
     InvalidFlux,
     NonPositiveFrequency,
@@ -25,16 +24,12 @@ from .errors import (
     UndefinedCoefficient,
 )
 from .rates import (
-    BathChannel,
-    BathSet,
     RateMatrix,
     assemble_rate_matrix,
-    bose_occupation,
 )
 from .steady import (
     SteadyState,
     StochasticEstimate,
-    derive_seed,
     gillespie_estimate,
     ideal_current_amplitude,
     solve_steady,
@@ -52,24 +47,17 @@ from .transport import (
     HeatCurrents,
     SystemConfig,
     TemperatureScenario,
-    TransportReport,
     circulation,
     classify_regime,
-    heat_currents,
     rectification_2t,
     rectification_3t,
-    scenario_current,
     solve_temperatures,
-    transport_report,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousExtremum",
-    "BathChannel",
-    "BathSet",
-    "ChannelMismatch",
     "CircuitParams",
     "ConfigError",
     "HeatCurrents",
@@ -87,25 +75,19 @@ __all__ = [
     "SweepSpec",
     "SystemConfig",
     "TemperatureScenario",
-    "TransportReport",
     "UndefinedCoefficient",
     "assemble_rate_matrix",
-    "bose_occupation",
     "circulation",
     "classify_regime",
-    "derive_seed",
     "derive_spectrum",
     "filter_width_advisories",
     "gillespie_estimate",
-    "heat_currents",
     "ideal_current_amplitude",
     "preset",
     "rectification_2t",
     "rectification_3t",
     "run_sweep",
-    "scenario_current",
     "solve_steady",
     "solve_temperatures",
-    "transport_report",
     "write_csv",
 ]

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from math import inf, isfinite, pi
+from math import inf, pi
 
 import numpy as np
 
@@ -29,13 +29,14 @@ from .errors import (
     ReducibleChain,
 )
 from .rates import CHANNEL_IDS, assemble_rate_matrix
-from .steady import MIN_JUMPS, gillespie_estimate, solve_steady
+from .steady import MIN_JUMPS, gillespie_estimate
 from .sweep import SweepAxis, SweepSpec, preset, run_sweep, write_csv
 from .transport import (
     SystemConfig,
     TemperatureScenario,
-    heat_currents,
-    transport_report,
+    bath_currents,
+    classify_regime,
+    solve_temperatures,
 )
 
 DEFAULTS = {
@@ -111,6 +112,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_defaults(data, where: str, allowed=DEFAULTS) -> dict:
+    """DEFAULTS updated with the JSON object `data`, all of whose keys are `allowed`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return {**DEFAULTS, **data}
+
+
 def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
     """The config from DEFAULTS, the --config file and the flags, in that
     order of precedence, and the set of keys the file or a flag set."""
@@ -122,14 +133,9 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        for key, value in data.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"config: unknown key {key!r}")
-            cfg[key] = value
+        cfg = _with_defaults(data, "config")
         explicit.update(data)
     for key in _SCALAR_FLAGS + ("merge", "preset", "out", "seed", "jumps"):
         value = getattr(args, key)
@@ -145,10 +151,15 @@ def _validate(cfg: dict) -> dict:
     _system_config turns their ValueError into a ConfigError (exit 2)."""
     for key in _SCALAR_FLAGS + ("seed", "jumps"):
         value = cfg[key]
-        if value is not None and not isinstance(value, (int, float)):
+        if value is None and key.startswith("omega_"):
+            continue  # the resonator sits on its transition
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
-        if isinstance(value, float) and not isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond any float
             raise ConfigError(f"{key}: must be finite, got {value}")
+    for key in ("preset", "out"):
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key}: expected a string, got {cfg[key]!r}")
     for key in ("ta", "tb", "tc"):
         if cfg[key] < 0:
             raise ConfigError(f"{key}: temperature must be >= 0, got {cfg[key]}")
@@ -163,10 +174,9 @@ def _validate(cfg: dict) -> dict:
                 f"merge: channels {cfg['merge']} share a reservoir and must "
                 f"share a temperature (got {t1} and {t2})"
             )
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError(f"seed: expected an integer, got {cfg['seed']!r}")
-    if not isinstance(cfg["jumps"], int):
-        raise ConfigError(f"jumps: expected an integer, got {cfg['jumps']!r}")
+    for key in ("seed", "jumps"):
+        if not isinstance(cfg[key], int) or cfg[key] < 0:
+            raise ConfigError(f"{key}: expected a non-negative integer, got {cfg[key]!r}")
     return cfg
 
 
@@ -183,9 +193,9 @@ def _system_config(cfg: dict) -> SystemConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _point_scenario(cfg: dict, config: SystemConfig) -> TemperatureScenario:
-    temps = {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
-    return TemperatureScenario(base=0.0, hot_temperature=0.0, overrides=tuple(temps.items()))
+def _temperatures(cfg: dict, config: SystemConfig) -> dict[str, float]:
+    """Per-bath temperatures of the point that ta, tb and tc set."""
+    return {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
 
 
 def _fmt(value: float, human: bool) -> str:
@@ -201,16 +211,16 @@ def _print_advisories(config: SystemConfig) -> None:
 def cmd_steady(cfg: dict, human: bool = False) -> int:
     """Solve one point and print populations, currents, regime, residual."""
     config = _system_config(cfg)
-    scenario = _point_scenario(cfg, config)
+    temps = _temperatures(cfg, config)
     _print_advisories(config)
-    report = transport_report(config, scenario)
-    p = report.steady.p
-    for i in range(3):
-        print(f"p{i} {_fmt(float(p[i]), human)}")
-    for cid, j in report.currents.by_channel().items():
+    steady, currents = solve_temperatures(config, temps)
+    regime = classify_regime(bath_currents(config, currents), temps)
+    for i, p in enumerate(steady.p.tolist()):
+        print(f"p{i} {_fmt(p, human)}")
+    for cid, j in currents.by_channel().items():
         print(f"j_{cid} {_fmt(j, human)}")
-    print(f"regime {report.regime}")
-    print(f"residual {_fmt(report.steady.residual, human)}")
+    print(f"regime {regime}")
+    print(f"residual {_fmt(steady.residual, human)}")
     return 0
 
 
@@ -220,9 +230,9 @@ _FIXED = {"ej", "ec", "flux", "q", "lambda_res", "lambda_off", "merge",
 
 
 def _sweep_config(cfg: dict, explicit: set[str]) -> tuple[dict, SweepSpec]:
-    """The preset or config-file sweep spec, and cfg with the fixed
-    configuration keys taken from that spec unless the file or a flag set
-    them (`explicit`): the effective configuration of the sweep."""
+    """The effective configuration of a sweep and its spec: the preset or
+    config-file spec, whose fixed configuration keys give way to those the
+    file or a flag set (`explicit`)."""
     if cfg["preset"] is not None:
         try:
             spec = preset(cfg["preset"])
@@ -240,14 +250,12 @@ def _sweep_config(cfg: dict, explicit: set[str]) -> tuple[dict, SweepSpec]:
         **{f"omega_{c}": dict(own.resonators).get(c) for c in CHANNEL_IDS},
     )
     effective.update({k: cfg[k] for k in explicit & _FIXED})
-    return effective, spec
-
-
-def _sweep_spec_from_config(cfg: dict, explicit: set[str]) -> SweepSpec:
-    effective, spec = _sweep_config(cfg, explicit)
     if explicit & _FIXED:
-        spec = replace(spec, config=_system_config(effective))
-    return spec
+        try:
+            spec = replace(spec, config=_system_config(effective))
+        except ValueError as exc:  # the spec's scenario names a bath the config lacks
+            raise ConfigError(f"sweep: {exc}") from exc
+    return effective, spec
 
 
 def _parse_sweep_dict(data: dict) -> SweepSpec:
@@ -267,14 +275,9 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
                 (str(k), float(v)) for k, v in scen.get("overrides", {}).items()
             ),
         )
-        fixed = data.get("config", {})
-        cfg = dict(DEFAULTS)
-        for key, value in fixed.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"sweep.config: unknown key {key!r}")
-            cfg[key] = value
+        fixed = _with_defaults(data.get("config", {}), "sweep.config", _FIXED)
         return SweepSpec(
-            config=_system_config(_validate(cfg)),
+            config=_system_config(_validate(fixed)),
             scenario=scenario,
             axes=axes,
             metrics=tuple(data.get("metrics", ())),
@@ -283,13 +286,13 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
 
 
 def cmd_sweep(cfg: dict, explicit: set[str], human: bool = False) -> int:
     """Run a sweep and write its CSV; per-point failures never abort."""
-    spec = _sweep_spec_from_config(cfg, explicit)
+    spec = _sweep_config(cfg, explicit)[1]
     if cfg["out"] is None:
         raise ConfigError("out: an output path is required for sweeps")
     t0 = time.perf_counter()
@@ -306,12 +309,10 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
     if cfg["jumps"] < MIN_JUMPS:
         raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
     config = _system_config(cfg)
-    scenario = _point_scenario(cfg, config)
+    temps = _temperatures(cfg, config)
     _print_advisories(config)
-    rates = assemble_rate_matrix(
-        config.spectrum, config.channels(scenario.temperatures(config.bath_ids())))
-    steady = solve_steady(rates)
-    currents = heat_currents(steady, rates, config.spectrum)
+    steady, currents = solve_temperatures(config, temps)
+    rates = assemble_rate_matrix(config.spectrum, config.channels(temps))
     est = gillespie_estimate(rates, config.spectrum, n_jumps=cfg["jumps"], seed=cfg["seed"])
 
     names = ["p0", "p1", "p2", "j_a", "j_b", "j_c"]
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReducibleChain, AmbiguousExtremum, NonPositiveFrequency,
+    except (ReducibleChain, AmbiguousExtremum, NonPositiveFrequency, ValueError,
             ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -13,10 +13,6 @@ class NonPositiveFrequency(QutritHeatError):
     """A derived transition frequency came out non-positive."""
 
 
-class ChannelMismatch(QutritHeatError):
-    """Bath channel labels are not exactly {a, b, c}."""
-
-
 class ReducibleChain(QutritHeatError):
     """The transition-rate digraph is not strongly connected; the stationary
     state is not unique."""

@@ -2,8 +2,9 @@
 
 Three independent routes to the same physics live here: the batched
 tree-theorem solve with its heat currents (the source of truth and the
-package's one solve path), the closed-form current amplitude of the perfectly
-filtered limit (cross-check), and a jump-process Monte Carlo estimator.
+package's one solve path; solve_steady applies it to one RateMatrix), the
+closed-form current amplitude of the perfectly filtered limit (cross-check),
+and a jump-process Monte Carlo estimator.
 """
 
 from __future__ import annotations
@@ -104,20 +105,19 @@ def channel_currents(freqs, up, down, p):
     sum_t w_t (u p_i + d p_j) of any channel.
     """
     k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s, (k01, k10, k12, k21, k02, k20), w = _trees(
-            k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
-        norm = (w[0] + w[1] + w[2]) / s
-        net = []
-        for t, (kij, kji, kmi, kmj, kjm, kim) in enumerate((
-            (k01, k10, k20, k21, k12, k02),  # 0 -> 1
-            (k12, k21, k01, k02, k20, k10),  # 1 -> 2
-            (k02, k20, k10, k12, k21, k01),  # 0 -> 2
-        )):
-            u, d = up[:, :, t] / s[:, None], down[:, :, t] / s[:, None]
-            f = ((kmi + kmj)[:, None] * (u * kji[:, None] - d * kij[:, None])
-                 + u * (kjm * kmi)[:, None] - d * (kim * kmj)[:, None])
-            net.append(freqs[:, t, None] * f / norm[:, None])
+    s, (k01, k10, k12, k21, k02, k20), w = _trees(
+        k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
+    norm = (w[0] + w[1] + w[2]) / s
+    net = []
+    for t, (kij, kji, kmi, kmj, kjm, kim) in enumerate((
+        (k01, k10, k20, k21, k12, k02),  # 0 -> 1
+        (k12, k21, k01, k02, k20, k10),  # 1 -> 2
+        (k02, k20, k10, k12, k21, k01),  # 0 -> 2
+    )):
+        u, d = up[:, :, t] / s[:, None], down[:, :, t] / s[:, None]
+        f = ((kmi + kmj)[:, None] * (u * kji[:, None] - d * kij[:, None])
+             + u * (kjm * kmi)[:, None] - d * (kim * kmj)[:, None])
+        net.append(freqs[:, t, None] * f / norm[:, None])
     w_t = freqs[:, None, :]
     gross = w_t * up * p[:, None, [0, 1, 0]] + w_t * down * p[:, None, [1, 2, 2]]
     g = gross[..., 0] + gross[..., 1] + gross[..., 2]
@@ -128,12 +128,15 @@ def solve_scenarios(freqs, prefactors, temperatures) -> tuple:
     """The batched kernel: (p, residual, connected, j, scale) of N scenarios
     from freqs (N, 3), rates.channel_prefactors (N, 3, 3) and channel
     temperatures (N, 3). A row depends on its own inputs only, bit for bit,
-    so any batching of a scenario gives the same numbers."""
-    up, down = thermal_rates(freqs, prefactors, temperatures)
-    k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
-    p, residual, connected = stationary(
-        k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
-    return (p, residual, connected, *channel_currents(freqs, up, down, p))
+    so any batching of a scenario gives the same numbers. It raises no
+    floating-point warning: rates beyond the float range give a non-finite
+    residual, which failure_codes flags."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        up, down = thermal_rates(freqs, prefactors, temperatures)
+        k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
+        p, residual, connected = stationary(
+            k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
+        return (p, residual, connected, *channel_currents(freqs, up, down, p))
 
 
 #: Why a scenario failed, by the code failure_codes gives it.
@@ -166,23 +169,6 @@ def solve_steady(rates: RateMatrix) -> SteadyState:
 # Closed-form current amplitude of the perfectly filtered limit.
 # ---------------------------------------------------------------------------
 
-def _amplitude_raw(theta_a: float, theta_b: float, theta_c: float) -> float:
-    # Rational function of the Boltzmann factors, written with negative
-    # exponentials so it stays finite for arbitrarily large theta. The
-    # numerator vanishes exactly on theta_c == theta_a + theta_b.
-    s = theta_a + theta_b
-    num = exp(-s) - exp(-theta_c)
-    den = (
-        2.0
-        + exp(-theta_c)
-        + 2.0 * exp(-theta_a)
-        - 2.0 * exp(-(theta_a + theta_c))
-        - exp(-s)
-        - 2.0 * exp(-(s + theta_c))
-    )
-    return num / den
-
-
 def ideal_current_amplitude(
     theta_a: float,
     theta_b: float,
@@ -198,7 +184,20 @@ def ideal_current_amplitude(
     """
     if not (theta_a > 0 and theta_b > 0 and theta_c > 0):
         raise ValueError("thetas must be positive and finite")
-    return kappa * _amplitude_raw(theta_a, theta_b, theta_c)
+    # Rational function of the Boltzmann factors, written with negative
+    # exponentials so it stays finite for arbitrarily large theta. The
+    # numerator vanishes exactly on theta_c == theta_a + theta_b.
+    s = theta_a + theta_b
+    num = exp(-s) - exp(-theta_c)
+    den = (
+        2.0
+        + exp(-theta_c)
+        + 2.0 * exp(-theta_a)
+        - 2.0 * exp(-(theta_a + theta_c))
+        - exp(-s)
+        - 2.0 * exp(-(s + theta_c))
+    )
+    return kappa * (num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +224,6 @@ class StochasticEstimate:
     def __post_init__(self) -> None:
         if abs(float(self.p_hat.sum()) - 1.0) > 1e-9:
             raise ValueError("estimated populations must sum to 1")
-
-
-def derive_seed(root_seed: int, index: int) -> int:
-    """Deterministic per-point seed for parallel sweeps (root + point index)."""
-    ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def gillespie_estimate(
@@ -305,7 +298,8 @@ def gillespie_estimate(
     p_b = occ / time_in_batch[:, None]
     j_b = heat / time_in_batch[:, None]
     sigma_p = p_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
-    sigma_j = j_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
+    with np.errstate(over="ignore"):  # batch currents beyond ~1e154: sigma is inf
+        sigma_j = j_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
     for arr in (p_hat, sigma_p, j_hat, sigma_j):
         arr.setflags(write=False)
     return StochasticEstimate(

@@ -15,7 +15,6 @@ of grid points, solves it in one kernel call and assembles the rows.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from math import inf, log10, pi, prod
@@ -92,6 +91,8 @@ class SweepSpec:
     (stays at the base temperature), "mean" ((base + hot)/2), or an explicit
     number. A flux axis re-derives the spectrum per point and, unless
     repin_resonators is false, re-pins each resonator to its transition.
+    Every hot or overridden bath of the scenario must be one of config's
+    baths, and at most one axis may set Q.
     """
 
     config: SystemConfig
@@ -109,6 +110,12 @@ class SweepSpec:
         names = [ax.name for ax in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("axes must be distinct")
+        if {"quality_factor", "log10_quality_factor"} <= set(names):
+            raise ValueError("quality_factor and log10_quality_factor axes both set Q; use one")
+        baths = self.config.bath_ids()
+        for bath in (*self.scenario.hot, *dict(self.scenario.overrides)):
+            if bath not in baths:
+                raise ValueError(f"scenario bath {bath!r} is not one of the baths {baths}")
         for m in self.metrics:
             if m not in METRIC_COLUMNS + _NOOP_METRICS:
                 raise ValueError(f"unknown metric {m!r}")
@@ -281,9 +288,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     linewidths at its lowest Q are checked against the level structure
     (circuit.filter_width_advisories) and each advisory is a UserWarning.
     """
-    q_axes = [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]
-    if q_axes:
-        ax = q_axes[0]
+    for ax in [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]:
         q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
         # A fixed configuration without a valid spectrum flags every row instead.
         with suppress(QutritHeatError):
@@ -294,6 +299,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers <= 1:
         rows = _evaluate_chunk(spec, 0, n)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         bounds = [round(k * n / workers) for k in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(_evaluate_chunk, [spec] * workers, bounds[:-1], bounds[1:])

@@ -26,15 +26,8 @@ import numpy as np
 
 from .circuit import CircuitParams, QutritSpectrum, derive_spectrum
 from .errors import AmbiguousExtremum, UndefinedCoefficient
-from .rates import (
-    CHANNEL_IDS,
-    UPWARD_TRANSITIONS,
-    BathChannel,
-    BathSet,
-    RateMatrix,
-    channel_prefactors,
-)
-from .steady import SteadyState, channel_currents, solve_scenarios, steady_state
+from .rates import CHANNEL_IDS, channel_prefactors
+from .steady import SteadyState, solve_scenarios, steady_state
 
 #: A coefficient denominator below this fraction of the gross one-way flow is
 #: treated as 0/0 (UndefinedCoefficient) rather than as a value.
@@ -63,24 +56,6 @@ class HeatCurrents:
         return self.j_a + self.j_b + self.j_c
 
 
-def heat_currents(steady: SteadyState, rates: RateMatrix, spectrum: QutritSpectrum) -> HeatCurrents:
-    """Per-channel currents J_l = sum_{i<j} w_ji (G_ji p_i - G_ij p_j).
-
-    Each upward transition absorbs the transition energy from the channel's
-    bath, each downward one emits it, so the expression is positive when the
-    system draws heat from the bath. Because omega20 = omega10 + omega21
-    exactly, the three currents sum to zero at any steady state. This is
-    steady.channel_currents at N = 1: the net currents are those of the
-    stationary state of `rates`; steady.p enters only the gross scale.
-    """
-    g = rates.per_channel
-    up = [[g[c][j, i] for i, j, _ in UPWARD_TRANSITIONS] for c in CHANNEL_IDS]
-    down = [[g[c][i, j] for i, j, _ in UPWARD_TRANSITIONS] for c in CHANNEL_IDS]
-    freqs = np.array([[spectrum.omega10, spectrum.omega21, spectrum.omega20]])
-    j, scale = channel_currents(freqs, np.array([up]), np.array([down]), steady.p[None])
-    return HeatCurrents(*j[0].tolist(), scale=float(scale[0]))
-
-
 @dataclass(frozen=True)
 class TemperatureScenario:
     """Temperature assignment for one run.
@@ -103,10 +78,7 @@ class TemperatureScenario:
             raise ValueError(f"scenario temperatures must be finite and >= 0, got {temps}")
 
     def temperature(self, bath: str) -> float:
-        for b, t in self.overrides:
-            if b == bath:
-                return t
-        return self.hot_temperature if bath in self.hot else self.base
+        return dict(self.overrides).get(bath, self.hot_temperature if bath in self.hot else self.base)
 
     def temperatures(self, baths) -> dict[str, float]:
         return {b: self.temperature(b) for b in baths}
@@ -174,24 +146,18 @@ class SystemConfig:
             raise ValueError(f"transition frequencies must be positive, got {freqs}")
         return freqs, tuple(self.resonator_frequency(cid) for cid in CHANNEL_IDS)
 
-    def channels(self, temperatures: Mapping[str, float]) -> BathSet:
-        """Instantiate the three channels at given per-bath temperatures."""
-        return BathSet.from_channels([
-            BathChannel(id=cid, omega=self.resonator_frequency(cid), q=self.q,
-                        lambda_res=self.lambda_res, lambda_off=self.lambda_off,
-                        temperature=temperatures[self.bath_of(cid)], bath=self.bath_of(cid))
-            for cid in CHANNEL_IDS
-        ])
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    """Everything known about one steady-state point."""
-
-    scenario: TemperatureScenario
-    steady: SteadyState
-    currents: HeatCurrents
-    regime: str
+    def channels(self, temperatures: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel's N = 1 channel inputs at per-bath temperatures:
+        rates.channel_prefactors (1, 3, 3) and the channel temperatures
+        (1, 3). The channels of a merged bath take its one temperature. The
+        scalar API checks those temperatures (finite, >= 0) here only."""
+        temps = [temperatures[self.bath_of(cid)] for cid in CHANNEL_IDS]
+        if not all(0 <= t < inf for t in temps):
+            raise ValueError(f"temperatures must be finite and >= 0, got {temps}")
+        freqs, omega_l = self.kernel_frequencies()
+        pref = channel_prefactors(np.array([freqs]), np.array([omega_l]), self.q,
+                                  self.lambda_res, self.lambda_off)
+        return pref, np.array([temps], dtype=float)
 
 
 def solve_temperatures(
@@ -199,13 +165,8 @@ def solve_temperatures(
 ) -> tuple[SteadyState, HeatCurrents]:
     """Solve the steady state at explicit per-bath temperatures: the batched
     kernel (steady.solve_scenarios) at N = 1, bit for bit a sweep cell."""
-    temps = [temperatures[config.bath_of(cid)] for cid in CHANNEL_IDS]
-    if not all(0 <= t < inf for t in temps):
-        raise ValueError(f"temperatures must be finite and >= 0, got {temps}")
-    freqs, omega_l = config.kernel_frequencies()
-    f = np.array([freqs])
-    pref = channel_prefactors(f, np.array([omega_l]), config.q, config.lambda_res, config.lambda_off)
-    p, residual, connected, j, scale = solve_scenarios(f, pref, np.array([temps], dtype=float))
+    freqs = np.array([config.kernel_frequencies()[0]])
+    p, residual, connected, j, scale = solve_scenarios(freqs, *config.channels(temperatures))
     steady = steady_state(p[0], residual[0], connected[0])
     return steady, HeatCurrents(*j[0].tolist(), scale=float(scale[0]))
 
@@ -217,25 +178,6 @@ def bath_currents(config: SystemConfig, currents: HeatCurrents) -> dict[str, flo
         b = config.bath_of(cid)
         out[b] = out.get(b, 0.0) + j
     return out
-
-
-def scenario_current(
-    config: SystemConfig, scenario: TemperatureScenario, probe: str
-) -> float:
-    """Heat current of the probe bath under the given scenario."""
-    baths = config.bath_ids()
-    if probe not in baths:
-        raise ValueError(f"probe bath {probe!r} not among {baths}")
-    _, currents = solve_temperatures(config, scenario.temperatures(baths))
-    return bath_currents(config, currents)[probe]
-
-
-def transport_report(config: SystemConfig, scenario: TemperatureScenario) -> TransportReport:
-    """Solve one scenario and classify its operating regime."""
-    temps = scenario.temperatures(config.bath_ids())
-    steady, currents = solve_temperatures(config, temps)
-    regime = classify_regime(bath_currents(config, currents), temps)
-    return TransportReport(scenario=scenario, steady=steady, currents=currents, regime=regime)
 
 
 def classify_regime(

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qutrit_heat.cli import _load_config, _parser, _sweep_spec_from_config, _validate, main
+from qutrit_heat.cli import DEFAULTS, _load_config, _parser, _sweep_config, _validate, main
+from qutrit_heat.sweep import AXIS_NAMES, METRIC_COLUMNS
 
 
 def run_cli(capsys, *argv):
@@ -247,7 +251,7 @@ class TestSweep:
         args = _parser().parse_args(
             ["sweep", "--preset", "fig4", "--lambda-off", "1", "--out", "x.csv"])
         cfg, explicit = _load_config(args)
-        spec = _sweep_spec_from_config(_validate(cfg), explicit)
+        spec = _sweep_config(_validate(cfg), explicit)[1]
         assert spec.config.lambda_off == 1.0
 
     def test_preset_dump_config_round_trips(self, tmp_path, capsys):
@@ -257,8 +261,68 @@ class TestSweep:
         dumped.write_text(out)
         args = _parser().parse_args(["sweep", "--config", str(dumped)])
         cfg, explicit = _load_config(args)
-        spec = _sweep_spec_from_config(_validate(cfg), explicit)
+        spec = _sweep_config(_validate(cfg), explicit)[1]
         assert spec.config.lambda_off == 0.0
+
+
+SMALL_SWEEP = {"axes": [{"name": "hot_temperature", "start": 1.2, "stop": 3.0, "count": 2}],
+               "scenario": {"hot": ["a"], "base": 0.9}}
+
+
+@pytest.mark.parametrize("command, data, named", [
+    ("steady", {"ej": None}, "ej"),
+    ("steady", {"ta": None}, "ta"),
+    ("steady", {"q": True}, "q"),
+    ("verify", {"jumps": False}, "jumps"),
+    ("verify", {"seed": True}, "seed"),
+    ("verify", {"seed": -1}, "seed"),
+    ("steady", {"ej": 10**400}, "ej"),
+    ("steady", {"preset": ["fig3"]}, "preset"),
+    ("sweep", {"out": 5, "sweep": SMALL_SWEEP}, "out"),
+    *[("sweep", {"sweep": dict(SMALL_SWEEP, config={key: value})}, key)
+      for key, value in (("ta", 2.0), ("seed", 3), ("out", "y.csv"), ("preset", "fig2"),
+                         ("jumps", 20000))],
+    ("sweep", {"sweep": dict(SMALL_SWEEP, scenario={"hot": ["x"]})}, "'x'"),
+    ("sweep", {"sweep": dict(SMALL_SWEEP, scenario={"overrides": {"d": 1.0}})}, "'d'"),
+    ("sweep", {"sweep": dict(SMALL_SWEEP, scenario={"hot": ["b"]}, config={"merge": "b,c"})},
+     "'b'"),
+    ("sweep", {"sweep": dict(SMALL_SWEEP, scenario=[])}, "sweep"),
+    ("sweep", {"sweep": dict(SMALL_SWEEP, axes=[
+        {"name": "quality_factor", "start": 10.0, "stop": 100.0, "count": 2},
+        {"name": "log10_quality_factor", "start": 1.0, "stop": 2.0, "count": 2}])},
+     "log10_quality_factor"),
+])
+def test_config_value_that_would_crash_or_be_ignored_exits_2(
+        tmp_path, capsys, command, data, named):
+    cfg, out_csv = tmp_path / "c.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps(data))
+    out = () if "out" in data else ("--out", str(out_csv))
+    for extra in ((), ("--dump-config",)):
+        code, stdout, err = run_cli(capsys, command, "--config", str(cfg), *out, *extra)
+        assert (code, stdout) == (2, ""), extra
+        assert err.startswith("error: ") and named in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("steady", "--omega-c", "1e-300"), 0),  # an overflowing detuning filters to exactly 0
+    (("steady", "--ta", "1e300", "--q", "1e-300"), 3),  # rates beyond the float range
+    (("steady", "--ec", "0"), 3),  # no positive transition frequency
+    (("verify", "--ta", "1e300", "--tb", "1e300", "--jumps", "10000"), 4),  # sigma_j is inf
+])
+def test_extreme_values_raise_no_floating_point_warning(capsys, argv, code):
+    # the suite turns every RuntimeWarning into an error
+    assert run_cli(capsys, *argv)[0] == code
+
+
+def test_preset_scenario_bath_missing_from_merged_config_exits_2(tmp_path, capsys):
+    # fig3 overrides baths b and c, which --merge b,c turns into one bath bc
+    out_csv = tmp_path / "x.csv"
+    for extra in ((), ("--dump-config",)):
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig3", "--merge", "b,c",
+                                 "--out", str(out_csv), *extra)
+        assert (code, out) == (2, "") and "'b'" in err
+    assert not out_csv.exists()
 
 
 class TestVerify:
@@ -283,6 +347,118 @@ class TestVerify:
         code1, out1, _ = run_cli(capsys, *args)
         code2, out2, _ = run_cli(capsys, *args)
         assert (code1, out1) == (code2, out2)
+
+
+README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",
+                "--ta", "3.5", "--tb", "1.5", "--tc", "2.0")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (("steady", *README_POINT),
+     "p0 0.78800224410985298\np1 0.20255519594491911\np2 0.0094425599452277742\n"
+     "j_a 0.0012398698018600697\nj_b 0.00040374034316177876\nj_c -0.0016436101450218606\n"
+     "regime R_b\nresidual 9.540979117872439e-18\n"),
+    (("steady", *README_POINT, "--human"),
+     "p0 0.788002\np1 0.202555\np2 0.00944256\nj_a 0.00123987\nj_b 0.00040374\n"
+     "j_c -0.00164361\nregime R_b\nresidual 9.54098e-18\n"),
+    (("verify", "--ta", "3.0", "--tb", "1.5", "--tc", "2.0", "--jumps", "20000", "--seed", "11"),
+     "quantity exact estimate sigma z\n"
+     "p0 0.82149277418120692 0.81762696907757015 0.0021218546921276194 1.82\n"
+     "p1 0.16946862315380745 0.17359419570587439 0.0020527478617777708 2.01\n"
+     "p2 0.0090386026649857034 0.0087788352165554355 0.00036177106701673351 0.72\n"
+     "j_a 0.00047930756011228782 0.00072364427665168568 0.00028770526249559554 0.85\n"
+     "j_b -0.00010586385678108457 1.0283312184791e-06 0.00023433492379011929 0.46\n"
+     "j_c -0.00037344370333118214 -0.00072467260787016478 0.00048853686524514346 0.72\n"
+     "max_z 2.01\n"),
+    (("verify", "--merge", "b,c", "--ta", "1.3", "--tb", "1.1", "--tc", "1.1",
+      "--jumps", "20000", "--seed", "5"),
+     "quantity exact estimate sigma z\n"
+     "p0 0.97408965948179183 0.97426801677518937 0.00025335060223252416 0.70\n"
+     "p1 0.025576452203074772 0.025414249377273251 0.00024707315647249853 0.66\n"
+     "p2 0.00033388831513343943 0.00031773384753750838 2.4476849821051001e-05 0.66\n"
+     "j_a 8.8132749016261235e-05 6.4003452430932511e-05 2.0255973011513732e-05 1.19\n"
+     "j_b 4.0607364744994359e-05 3.2634949121282401e-05 1.8129053453471134e-05 0.44\n"
+     "j_c -0.00012874011376125795 -9.5521669873943529e-05 3.2588819568637254e-05 1.02\n"
+     "max_z 1.19\n"),
+])
+def test_stdout_is_pinned(capsys, argv, stdout):
+    # full-precision output of the README steady point and two seeded verify runs
+    assert run_cli(capsys, *argv)[:2] == (0, stdout)
+
+
+# Config-file values of every kind: in and out of range, non-finite, beyond
+# any float, of the wrong type, and absent. A key takes a plausible value
+# seven times in eight, so that many drawn configs get past validation.
+ODD = st.sampled_from([None, True, False, "x", "a,a", [], {}, 0, -1, math.nan, math.inf,
+                       -math.inf, 1e300, -1e300, 1e-300, 10**400])
+
+
+def mostly(plausible, odd=ODD):
+    return st.sampled_from([plausible] * 7 + [odd]).flatmap(lambda strategy: strategy)
+
+
+SYSTEM = {
+    "ej": mostly(st.floats(3.0, 10.0)), "ec": mostly(st.floats(0.2, 1.0)),
+    "flux": mostly(st.floats(-5.0, 5.0)), "q": mostly(st.floats(5.0, 1e4)),
+    "lambda_res": mostly(st.floats(0.0, 2.0)), "lambda_off": mostly(st.floats(0.0, 2.0)),
+    "merge": mostly(st.sampled_from(["b,c", "a,b", "c,a"])),
+    **{f"omega_{c}": mostly(st.floats(0.5, 10.0)) for c in "abc"},
+}
+TEMPERATURE = mostly(st.floats(0.0, 4.0))
+BATH = st.sampled_from(["a", "b", "c", "ab", "ac", "bc", "x"])
+AXIS = st.fixed_dictionaries({
+    "name": st.sampled_from(AXIS_NAMES + ("voltage",)),
+    "start": TEMPERATURE, "stop": TEMPERATURE,
+    "count": mostly(st.sampled_from([2, 3])),
+})
+SWEEP_SECTION = st.fixed_dictionaries({"axes": mostly(st.lists(AXIS, min_size=1, max_size=3))},
+                                      optional={
+    "scenario": mostly(st.fixed_dictionaries({}, optional={
+        "hot": mostly(st.lists(BATH, max_size=2)),
+        "base": TEMPERATURE, "hot_temperature": TEMPERATURE,
+        "overrides": mostly(st.dictionaries(BATH, TEMPERATURE, max_size=2))})),
+    "metrics": mostly(st.lists(st.sampled_from(METRIC_COLUMNS + ("currents", "Z")), max_size=3)),
+    "passive": mostly(st.sampled_from(["base", "mean", "median", 1.5])),
+    "repin_resonators": mostly(st.booleans()),
+    "config": mostly(st.fixed_dictionaries({}, optional={
+        **SYSTEM, "ta": TEMPERATURE, "seed": st.just(3), "preset": st.just("fig3")})),
+})
+CONFIG_FILE = mostly(
+    st.fixed_dictionaries(
+        # every config object draws jumps, so verify never runs the default 10**6
+        {"jumps": mostly(st.sampled_from([10_000, 10]))}, optional={
+            **SYSTEM, **{f"t{c}": TEMPERATURE for c in "abc"},
+            "seed": mostly(st.integers(0, 2**70)),
+            "preset": mostly(st.sampled_from(["fig3", "fig99"])),
+            "sweep": mostly(SWEEP_SECTION),
+        }).map(json.dumps),
+    ODD.filter(lambda v: v != {}).map(json.dumps)
+    | st.sampled_from(["{", "", "\udcff", '{"eJ": 5.0}']),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(["steady", "sweep", "verify"]), text=CONFIG_FILE,
+       dump=st.booleans())
+def test_fuzzed_config_files_never_raise(tmp_path, capsys, command, text, dump):
+    assert set(SYSTEM) < set(DEFAULTS)
+    path = tmp_path / "c.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "x.csv")]
+    code, out, _ = run_cli(capsys, *argv, *["--dump-config"] * dump)
+    # 4 is verify's statistical mismatch, a result rather than a failure
+    assert code in ({0, 2, 3, 4} if command == "verify" and not dump else {0, 2, 3})
+    if code == 0 and dump:
+        path.write_text(out)
+        assert run_cli(capsys, *argv, "--dump-config")[:2] == (0, out)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by a run_sweep with workers > 1, not by every command
+    code = "import sys, qutrit_heat.cli; sys.exit('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():

@@ -8,27 +8,26 @@ import numpy as np
 import pytest
 
 from qutrit_heat import (
-    BathChannel,
     CircuitParams,
     ReducibleChain,
+    SystemConfig,
     assemble_rate_matrix,
-    derive_seed,
-    derive_spectrum,
     gillespie_estimate,
-    heat_currents,
-    solve_steady,
+    solve_temperatures,
 )
 
-SPECTRUM = derive_spectrum(CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2))
+CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
+SPECTRUM = SystemConfig(circuit=CIRCUIT).spectrum
+
+
+def pinned_config(q=100.0) -> SystemConfig:
+    """Resonators pinned to the transitions of SPECTRUM."""
+    freqs = (SPECTRUM.omega10, SPECTRUM.omega21, SPECTRUM.omega20)
+    return SystemConfig(circuit=CIRCUIT, q=q, resonators=tuple(zip("abc", freqs)))
 
 
 def pinned_channels(temps, q=100.0):
-    freqs = {"a": SPECTRUM.omega10, "b": SPECTRUM.omega21, "c": SPECTRUM.omega20}
-    return [
-        BathChannel(id=c, omega=freqs[c], q=q, lambda_res=1.0, lambda_off=1.0,
-                    temperature=t)
-        for c, t in zip("abc", temps)
-    ]
+    return pinned_config(q).channels(dict(zip("abc", temps)))
 
 
 def z_max(est, p_exact, j_exact) -> float:
@@ -58,8 +57,7 @@ def test_deterministic_given_seed(equilibrium_rates):
 
 def test_equilibrium_agrees_with_gibbs(equilibrium_rates):
     est = gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=200_000, seed=7)
-    st = solve_steady(equilibrium_rates)
-    j = heat_currents(st, equilibrium_rates, SPECTRUM)
+    _, j = solve_temperatures(pinned_config(), dict.fromkeys("abc", 2.0))
     gibbs = np.exp(-np.array(SPECTRUM.energies) / 2.0)
     gibbs /= gibbs.sum()
     assert z_max(est, gibbs, (j.j_a, j.j_b, j.j_c)) <= 3.0
@@ -77,8 +75,7 @@ def test_two_seeds_compatible(equilibrium_rates):
 
 def test_nonequilibrium_agrees_with_solver():
     rm = assemble_rate_matrix(SPECTRUM, pinned_channels((3.0, 1.5, 2.0)))
-    st = solve_steady(rm)
-    j = heat_currents(st, rm, SPECTRUM)
+    st, j = solve_temperatures(pinned_config(), {"a": 3.0, "b": 1.5, "c": 2.0})
     est = gillespie_estimate(rm, SPECTRUM, n_jumps=300_000, seed=12)
     assert z_max(est, st.p, (j.j_a, j.j_b, j.j_c)) <= 3.0
 
@@ -93,10 +90,3 @@ def test_reducible_chain_rejected():
     rm = assemble_rate_matrix(SPECTRUM, pinned_channels((0.0, 0.0, 0.0)))
     with pytest.raises(ReducibleChain):
         gillespie_estimate(rm, SPECTRUM, n_jumps=20_000, seed=0)
-
-
-def test_derive_seed_deterministic_and_distinct():
-    seeds = [derive_seed(1234, k) for k in range(64)]
-    assert seeds == [derive_seed(1234, k) for k in range(64)]
-    assert len(set(seeds)) == 64
-    assert derive_seed(1234, 0) != derive_seed(1235, 0)

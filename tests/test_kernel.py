@@ -126,12 +126,12 @@ def specs(draw):
         merged=merged,
         resonators=resonators,
     )
-    base = draw(temperatures)
+    base, baths = draw(temperatures), st.sampled_from(config.bath_ids())
     scenario = TemperatureScenario(
-        hot=frozenset({draw(st.sampled_from(["a", "b", "c"]))}),
+        hot=frozenset({draw(baths)}),
         base=base,
         hot_temperature=draw(st.one_of(st.just(base), temperatures)),
-        overrides=draw(st.one_of(st.just(()), st.tuples(st.tuples(st.just("c"), temperatures)))),
+        overrides=draw(st.one_of(st.just(()), st.tuples(st.tuples(baths, temperatures)))),
     )
     phi = draw(fluxes)
     return SweepSpec(

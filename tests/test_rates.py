@@ -13,16 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_heat import (
-    BathChannel,
-    BathSet,
-    ChannelMismatch,
-    CircuitParams,
-    assemble_rate_matrix,
-    bose_occupation,
-    derive_spectrum,
-)
-from qutrit_heat.rates import RESONANT_PAIR, lorentz_prefactor, thermal_rates
+from qutrit_heat import CircuitParams, SystemConfig, assemble_rate_matrix, derive_spectrum
+from qutrit_heat.rates import bose_factors, lorentz_prefactor, thermal_rates
+
+# Resonant level-pair assignment of each channel.
+RESONANT_PAIR = {"a": (0, 1), "b": (1, 2), "c": (0, 2)}
 
 # mpmath, 50 digits: 1/(e - 1)
 BOSE_1_1 = 0.5819767068693264
@@ -48,34 +43,37 @@ def rate_pair(omega, weight=1.0, omega_l=4.72213, q=100.0, temperature=2.0):
     return float(up[0, 0, 0]), float(down[0, 0, 0])
 
 
-def channel(**kw) -> BathChannel:
-    base = dict(id="a", omega=4.72213, q=100.0, lambda_res=1.0,
-                lambda_off=1.0, temperature=2.0)
-    base.update(kw)
-    return BathChannel(**base)
+CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
+
+
+def config(**kw) -> SystemConfig:
+    return SystemConfig(**{"circuit": CIRCUIT, **kw})
 
 
 class TestBoseOccupation:
     def test_unit_point(self):
-        assert bose_occupation(1.0, 1.0) == pytest.approx(BOSE_1_1, rel=1e-15)
+        assert bose_factors(np.float64(1.0), 1.0) == pytest.approx(BOSE_1_1, rel=1e-15)
 
     def test_log_two_is_exactly_one(self):
-        assert bose_occupation(math.log(2.0), 1.0) == 1.0
+        assert bose_factors(np.float64(math.log(2.0)), 1.0) == 1.0
 
     def test_zero_temperature(self):
-        assert bose_occupation(5.0, 0.0) == 0.0
+        assert bose_factors(np.float64(5.0), 0.0) == 0.0
 
     def test_deep_quantum_underflow_is_zero(self):
-        assert bose_occupation(1.0, 1e-4) == 0.0
+        assert bose_factors(np.float64(1.0), 1e-4) == 0.0
 
     def test_rejects_bad_arguments(self):
+        # the checks live where the kernel inputs are made: SystemConfig.channels
         with pytest.raises(ValueError):
-            bose_occupation(0.0, 1.0)
+            config(circuit=CircuitParams(e_j=5.0, e_c=0.0)).channels(dict.fromkeys("abc", 1.0))
         with pytest.raises(ValueError):
-            bose_occupation(1.0, -0.5)
-        for omega, temperature in ((1.0, math.nan), (1.0, math.inf), (math.nan, 1.0)):
+            config().channels({"a": 1.0, "b": -0.5, "c": 1.0})
+        for temperature in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                bose_occupation(omega, temperature)
+                config().channels({"a": 1.0, "b": 1.0, "c": temperature})
+        with pytest.raises(ValueError):
+            CircuitParams(e_j=5.0, e_c=0.5, phi=math.nan)
 
 
 class TestLorentzFilter:
@@ -147,34 +145,22 @@ class TestRatePair:
 
 class TestChannelValidation:
     def test_bath_defaults_to_id(self):
-        assert channel(id="b", omega=4.3).bath == "b"
-        assert channel(id="b", omega=4.3, bath="bc").bath == "bc"
+        assert config().bath_of("b") == "b"
+        assert config(merged=("b", "c")).bath_of("b") == "bc"
 
     def test_field_validation(self):
-        with pytest.raises(ChannelMismatch):
-            channel(id="x")
-        for kw in ({"omega": 0.0}, {"q": -1.0}, {"lambda_res": -0.1},
-                   {"temperature": -1.0}, {"temperature": math.nan},
+        for kw in ({"resonators": (("a", 0.0),)}, {"q": -1.0}, {"lambda_res": -0.1},
                    {"q": math.inf}, {"lambda_off": math.nan}):
             with pytest.raises(ValueError):
-                channel(**kw)
-
-    def test_bath_set_requires_abc(self):
-        chs = [channel(id=c) for c in "abc"]
-        BathSet.from_channels(chs)
-        with pytest.raises(ChannelMismatch):
-            BathSet.from_channels(chs[:2])
-        with pytest.raises(ChannelMismatch):
-            BathSet.from_channels([channel(id="a"), channel(id="a"), channel(id="b")])
+                config(**kw)
+        for temperature in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                config().channels({"a": temperature, "b": 1.0, "c": 1.0})
 
     def test_shared_bath_requires_shared_temperature(self):
-        chs = [
-            channel(id="a"),
-            channel(id="b", bath="bc", temperature=1.0),
-            channel(id="c", bath="bc", temperature=2.0),
-        ]
-        with pytest.raises(ValueError, match="bath 'bc'"):
-            BathSet.from_channels(chs)
+        # a merged bath has one temperature, so its channels share it by construction
+        _, temps = config(merged=("b", "c")).channels({"a": 1.0, "bc": 2.0})
+        assert temps.tolist() == [[1.0, 2.0, 2.0]]
 
 
 @pytest.fixture(scope="module")
@@ -184,12 +170,11 @@ def spectrum():
 
 def pinned_channels(spectrum, q=100.0, lambda_res=1.0, lambda_off=1.0,
                     temps=(2.0, 1.5, 1.0)):
-    freqs = {"a": spectrum.omega10, "b": spectrum.omega21, "c": spectrum.omega20}
-    return [
-        BathChannel(id=c, omega=freqs[c], q=q, lambda_res=lambda_res,
-                    lambda_off=lambda_off, temperature=t)
-        for c, t in zip("abc", temps)
-    ]
+    """Kernel inputs of resonators pinned to the transitions of `spectrum`."""
+    freqs = (spectrum.omega10, spectrum.omega21, spectrum.omega20)
+    cfg = config(q=q, lambda_res=lambda_res, lambda_off=lambda_off,
+                 resonators=tuple(zip("abc", freqs)))
+    return cfg.channels(dict(zip("abc", temps)))
 
 
 class TestAssembly:
@@ -244,11 +229,6 @@ class TestAssembly:
             ratios.append(g[2, 1] / g[1, 0])
         slope = np.polyfit(np.log10(qs), np.log10(ratios), 1)[0]
         assert slope == pytest.approx(-2.0, abs=1e-3)
-
-    def test_label_validation(self, spectrum):
-        chs = pinned_channels(spectrum)
-        with pytest.raises(ChannelMismatch):
-            assemble_rate_matrix(spectrum, chs[:2])
 
     def test_assembly_deterministic(self, spectrum):
         chs = pinned_channels(spectrum)

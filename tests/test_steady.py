@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 
 from qutrit_heat import (
-    BathChannel,
     CircuitParams,
-    QutritSpectrum,
     RateMatrix,
     ReducibleChain,
+    SystemConfig,
     assemble_rate_matrix,
-    bose_occupation,
-    derive_spectrum,
-    heat_currents,
     ideal_current_amplitude,
     solve_steady,
 )
+from qutrit_heat.rates import bose_factors
+from qutrit_heat.steady import solve_scenarios
 
-SPECTRUM = derive_spectrum(CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2))
+CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
+SPECTRUM = SystemConfig(circuit=CIRCUIT).spectrum
 
 
 def random_rate_matrix(rng, low_exp=-2.0, high_exp=1.0) -> RateMatrix:
@@ -52,12 +51,11 @@ def adjugate_null_vector(total: np.ndarray) -> np.ndarray:
 
 
 def pinned_channels(temps, q=100.0, lambda_res=1.0, lambda_off=1.0):
-    freqs = {"a": SPECTRUM.omega10, "b": SPECTRUM.omega21, "c": SPECTRUM.omega20}
-    return [
-        BathChannel(id=c, omega=freqs[c], q=q, lambda_res=lambda_res,
-                    lambda_off=lambda_off, temperature=t)
-        for c, t in zip("abc", temps)
-    ]
+    """Kernel inputs of resonators pinned to the transitions of SPECTRUM."""
+    freqs = (SPECTRUM.omega10, SPECTRUM.omega21, SPECTRUM.omega20)
+    cfg = SystemConfig(circuit=CIRCUIT, q=q, lambda_res=lambda_res, lambda_off=lambda_off,
+                       resonators=tuple(zip("abc", freqs)))
+    return cfg.channels(dict(zip("abc", temps)))
 
 
 def symmetric_ideal_rates(omegas, temps, kappa=1.0) -> RateMatrix:
@@ -65,22 +63,17 @@ def symmetric_ideal_rates(omegas, temps, kappa=1.0) -> RateMatrix:
     per = {}
     for cid, (i, j), w, t in zip("abc", ((0, 1), (1, 2), (0, 2)), omegas, temps):
         g = np.zeros((3, 3))
-        n = bose_occupation(w, t)
+        n = float(bose_factors(np.float64(w), t))
         g[j, i] = kappa * n
         g[i, j] = kappa * (1.0 + n)
         per[cid] = g
     return RateMatrix(per_channel=per, total=sum(per.values()))
 
 
-def cycle_spectrum(omega_a, omega_b) -> QutritSpectrum:
-    assert omega_a >= omega_b
-    return QutritSpectrum(
-        omega0=omega_a,
-        omega10=omega_a,
-        omega21=omega_b,
-        omega20=omega_a + omega_b,
-        omega32=omega_b,
-    )
+def ideal_cycle_currents(omegas, temps, kappa=1.0):
+    """(j_a, j_b, j_c) of the same cycle: the kernel at kappa * eye(3) prefactors."""
+    j = solve_scenarios(np.array([omegas]), kappa * np.eye(3)[None], np.array([temps]))[3]
+    return j[0].tolist()
 
 
 class TestSolveSteady:
@@ -170,32 +163,27 @@ class TestIdealAmplitude:
 
     def test_matches_linear_solve_over_grid(self):
         omegas = (1.0, 0.8, 1.8)
-        spec = cycle_spectrum(1.0, 0.8)
         for ta in (0.4, 0.9, 1.7, 3.0):
             for tb in (0.5, 1.1, 2.4):
                 for tc in (0.3, 0.8, 2.0):
                     thetas = tuple(w / t for w, t in zip(omegas, (ta, tb, tc)))
                     if abs(thetas[2] - thetas[0] - thetas[1]) < 0.05:
                         continue
-                    rm = symmetric_ideal_rates(omegas, (ta, tb, tc), kappa=0.7)
-                    st = solve_steady(rm)
-                    j = heat_currents(st, rm, spec)
+                    j_a, j_b, j_c = ideal_cycle_currents(omegas, (ta, tb, tc), kappa=0.7)
                     a = ideal_current_amplitude(*thetas, kappa=0.7)
-                    assert omegas[0] * a == pytest.approx(j.j_a, rel=1e-9)
-                    assert omegas[1] * a == pytest.approx(j.j_b, rel=1e-9)
-                    assert -omegas[2] * a == pytest.approx(j.j_c, rel=1e-9)
+                    assert omegas[0] * a == pytest.approx(j_a, rel=1e-9)
+                    assert omegas[1] * a == pytest.approx(j_b, rel=1e-9)
+                    assert -omegas[2] * a == pytest.approx(j_c, rel=1e-9)
 
     def test_spec_point_against_solver(self):
         # thetas for (T_a, T_b, T_c) = (2, 1.5, 2) at the quarter-flux spectrum
         omegas = (SPECTRUM.omega10, SPECTRUM.omega21, SPECTRUM.omega20)
         temps = (2.0, 1.5, 2.0)
         thetas = tuple(w / t for w, t in zip(omegas, temps))
-        rm = symmetric_ideal_rates(omegas, temps)
-        st = solve_steady(rm)
-        j = heat_currents(st, rm, SPECTRUM)
+        j_a = ideal_cycle_currents(omegas, temps)[0]
         a = ideal_current_amplitude(*thetas)
         assert a != 0.0
-        assert omegas[0] * a == pytest.approx(j.j_a, rel=1e-9)
+        assert omegas[0] * a == pytest.approx(j_a, rel=1e-9)
 
     def test_sign_agrees_with_solve_steady_at_reference_point(self):
         # the closed form carries no sign calibration: its sign is that of

@@ -81,6 +81,23 @@ class TestSpecValidation:
                   SweepAxis("flux", 0.0, 1.0, 3)))
 
 
+    def test_both_quality_axes_rejected(self):
+        # both would set Q, and the log10 axis would silently win
+        with pytest.raises(ValueError, match="quality_factor"):
+            spec((SweepAxis("log10_quality_factor", 1.0, 3.0, 3),
+                  SweepAxis("quality_factor", 10.0, 100.0, 2)))
+
+    def test_scenario_baths_must_be_config_baths(self):
+        ax = (SweepAxis("hot_temperature", 1.0, 2.0, 2),)
+        for scen in (TemperatureScenario(hot=frozenset({"x"})),
+                     TemperatureScenario(overrides=(("d", 2.0),)),
+                     TemperatureScenario(hot=frozenset({"b"}))):
+            with pytest.raises(ValueError, match="not one of the baths"):
+                spec(ax, cfg=config(merged=("b", "c")), scenario=scen)
+        spec(ax, cfg=config(merged=("b", "c")),
+             scenario=TemperatureScenario(hot=frozenset({"bc"}), overrides=(("a", 2.0),)))
+
+
 class TestGrid:
     def test_row_major_order(self):
         s = spec(
@@ -149,15 +166,6 @@ class TestRunSweep:
     def test_deterministic_rerun(self):
         s = spec((SweepAxis("hot_temperature", 1.0, 3.0, 7),), metrics=("C",))
         assert run_sweep(s) == run_sweep(s)
-
-    def test_both_quality_axes_keep_their_grid_values(self):
-        # the log10 axis sets Q, yet each axis column holds its own values
-        s = spec((SweepAxis("log10_quality_factor", 1.0, 3.0, 3),
-                  SweepAxis("quality_factor", 10.0, 100.0, 2)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = run_sweep(s)
-        assert [row[:2] for row in res.rows] == s.grid()
 
     def test_merged_config_flags_three_bath_metrics(self):
         s = spec((SweepAxis("hot_temperature", 1.5, 3.0, 3),),
