@@ -295,6 +295,10 @@ def cmd_sweep(cfg: dict, explicit: set[str], human: bool = False) -> int:
     spec = _sweep_config(cfg, explicit)[1]
     if cfg["out"] is None:
         raise ConfigError("out: an output path is required for sweeps")
+    try:  # fail before the sweep, not after it; "a" keeps an old file until the write
+        open(cfg["out"], "a").close()
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {cfg['out']}: {exc}") from exc
     t0 = time.perf_counter()
     result = run_sweep(spec)
     elapsed = time.perf_counter() - t0

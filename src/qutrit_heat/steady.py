@@ -10,7 +10,7 @@ and a jump-process Monte Carlo estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log1p
+from math import exp, isqrt, log1p
 
 import numpy as np
 
@@ -79,24 +79,27 @@ def stationary(k01, k10, k12, k21, k02, k20):
     with (N,) total rates kij: no cancellation, no pivoting. Returns p
     (N, 3), the max norm of the normalised rate equations at p, and the
     strong-connectivity mask; where it is False (say, every bath at T = 0:
-    state 0 absorbs, yet the tree sum is nonzero) p must not be used."""
+    state 0 absorbs, yet the tree sum is nonzero) p must not be used. Last
+    come the _trees of the rates, which channel_currents takes."""
     connected = strongly_connected(k01, k10, k12, k21, k02, k20)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, (k01, k10, k12, k21, k02, k20), (w0, w1, w2) = _trees(k01, k10, k12, k21, k02, k20)
+        trees = _trees(k01, k10, k12, k21, k02, k20)
+        _, (k01, k10, k12, k21, k02, k20), (w0, w1, w2) = trees
         norm = w0 + w1 + w2
         p0, p1, p2 = w0 / norm, w1 / norm, w2 / norm
         residual = np.maximum(np.maximum(
             abs(-(k01 + k02) * p0 + k10 * p1 + k20 * p2),
             abs(k01 * p0 - (k10 + k12) * p1 + k21 * p2)),
             abs(k02 * p0 + k12 * p1 - (k20 + k21) * p2))
-    return np.stack([p0, p1, p2], axis=-1), residual, connected
+    return np.stack([p0, p1, p2], axis=-1), residual, connected, trees
 
 
-def channel_currents(freqs, up, down, p):
+def channel_currents(freqs, up, down, p, trees):
     """Stationary heat currents j (N, channel) and their scale (N,).
 
     freqs (N, 3) holds (omega10, omega21, omega20), up and down the
-    (N, channel, transition) rates, p the (N, 3) populations. J_l is
+    (N, channel, transition) rates, p the (N, 3) populations and trees the
+    _trees of the total rates, as stationary gives them. J_l is
     sum_t w_t f_lt, f_lt = u p_i - d p_j channel l's net flux up t = i -> j.
     With p_i = w_i / W and m the third state, f_lt W = (k_mi + k_mj)
     (u k_ji - d k_ij) + u k_jm k_mi - d k_im k_mj: the first term is exactly
@@ -104,9 +107,7 @@ def channel_currents(freqs, up, down, p):
     u p_i and d p_j never cancel. scale is the largest gross one-way flow
     sum_t w_t (u p_i + d p_j) of any channel.
     """
-    k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
-    s, (k01, k10, k12, k21, k02, k20), w = _trees(
-        k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
+    s, (k01, k10, k12, k21, k02, k20), w = trees
     norm = (w[0] + w[1] + w[2]) / s
     net = []
     for t, (kij, kji, kmi, kmj, kjm, kim) in enumerate((
@@ -134,18 +135,21 @@ def solve_scenarios(freqs, prefactors, temperatures) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         up, down = thermal_rates(freqs, prefactors, temperatures)
         k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
-        p, residual, connected = stationary(
+        p, residual, connected, trees = stationary(
             k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
-        return (p, residual, connected, *channel_currents(freqs, up, down, p))
+        return (p, residual, connected, *channel_currents(freqs, up, down, p, trees))
 
 
 #: Why a scenario failed, by the code failure_codes gives it.
 FAILURE_KINDS = ("", "ReducibleChain", "ValueError")
 
 
-def failure_codes(residual, connected) -> np.ndarray:
-    """0 solved, 1 not strongly connected, 2 residual above RESIDUAL_TOL."""
-    return np.where(connected, np.where(residual <= RESIDUAL_TOL, 0, 2), 1)
+def failure_codes(residual, connected, j, scale) -> np.ndarray:
+    """0 solved, 1 not strongly connected, 2 residual above RESIDUAL_TOL or
+    a current or the scale not finite (rates near the float range can leave
+    the populations fine and the currents NaN)."""
+    solved = (residual <= RESIDUAL_TOL) & np.isfinite(j).all(axis=-1) & np.isfinite(scale)
+    return np.where(connected, np.where(solved, 0, 2), 1)
 
 
 def steady_state(p: np.ndarray, residual, connected) -> SteadyState:
@@ -161,7 +165,7 @@ def solve_steady(rates: RateMatrix) -> SteadyState:
     """Unique stationary distribution of the total rate matrix (stationary
     at N = 1); raises ReducibleChain for a chain that is not strongly
     connected rather than return one of many stationary vectors."""
-    p, residual, connected = stationary(*(k[None] for k in edge_rates(rates.total)))
+    p, residual, connected, _ = stationary(*(k[None] for k in edge_rates(rates.total)))
     return steady_state(p[0], residual[0], connected[0])
 
 
@@ -209,9 +213,11 @@ def ideal_current_amplitude(
 class StochasticEstimate:
     """Time-averaged populations and per-channel heat currents with errors.
 
-    Standard errors come from batch means over contiguous stretches of the
-    trajectory. Positive currents mean heat flowing out of the bath, matching
-    the deterministic pipeline.
+    Standard errors come from 50 batch means over contiguous stretches of
+    the one trajectory that gillespie_estimate walks. Positive currents mean
+    heat flowing out of the bath, matching the deterministic pipeline. Every
+    field is a function of (rates, spectrum, n_jumps, seed) alone, bit for
+    bit.
     """
 
     p_hat: np.ndarray
@@ -224,6 +230,33 @@ class StochasticEstimate:
     def __post_init__(self) -> None:
         if abs(float(self.p_hat.sum()) - 1.0) > 1e-9:
             raise ValueError("estimated populations must sum to 1")
+
+
+def _walk(start: int, step: np.ndarray) -> tuple[np.ndarray, int]:
+    """The states before each jump of a chunk, and the state after it, from
+    start and the chunk's next-state maps step (L, 3): a blocked scan.
+
+    The L maps are cut into blocks of about sqrt(L), a short last block
+    padded with the identity map. All blocks step their three possible start
+    states in lockstep, then a loop over the blocks chains their end states.
+    A state is held as 3 * block + state, an index into the flat maps."""
+    n = len(step)
+    length = isqrt(n - 1) + 1
+    blocks = -(-n // length)
+    flat = np.empty((blocks * length, 3), dtype=np.intp)
+    flat[:n] = step
+    flat[n:] = (0, 1, 2)
+    flat = (flat.reshape(blocks, length, 3).transpose(1, 0, 2)
+            + 3 * np.arange(blocks)[:, None]).reshape(length, 3 * blocks)
+    at = np.empty((length + 1, 3 * blocks), dtype=np.intp)
+    at[0] = np.arange(3 * blocks)
+    for i in range(length):
+        flat[i].take(at[i], out=at[i + 1])
+    state, entry = start, []
+    for b, ends in enumerate((at[length] % 3).reshape(blocks, 3).tolist()):
+        entry.append(3 * b + state)
+        state = ends[state]
+    return at[:length, entry].T.reshape(-1)[:n] % 3, state
 
 
 def gillespie_estimate(
@@ -239,7 +272,18 @@ def gillespie_estimate(
     individual rates. Each jump through channel l moves energy
     E_target - E_source out of bath l. The first n_jumps // 100 jumps are
     discarded as burn-in; the remaining n_jumps are accumulated in
-    occupation-time averages. Deterministic for a given seed.
+    occupation-time averages over 50 contiguous batches.
+
+    Jump k draws u_wait[k] and u_pick[k], the k-th doubles of two streams of
+    PCG64(seed): the first from its start, the second after n_burn + n_jumps
+    doubles. The target is the first outcome of the state's table whose
+    cumulative probability is at least u_pick[k]; the waiting time is
+    -log1p(-u_wait[k]) / exit rate, with libm's log1p. No loop runs per
+    jump: the burn-in and each batch form a chunk, whose next-state maps for
+    all three states are scanned in blocks (_walk), and whose sums are
+    in-order bincounts. The result is that of the jump-by-jump walk, bit for
+    bit, and deterministic for a given seed: numpy's log1p is not used, as
+    its SIMD paths, chosen by the CPU, differ in the last bits.
     """
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
@@ -249,48 +293,52 @@ def gillespie_estimate(
     energies = spectrum.energies
     order = sorted(rates.per_channel)
     # Per state: exit rate and the outcome table (cumulative prob, target,
-    # channel index, energy out of that channel's bath).
-    exit_rate = [0.0, 0.0, 0.0]
-    outcomes: list[list[tuple[float, int, int, float]]] = [[], [], []]
+    # channel index, energy out of that channel's bath), padded with an
+    # outcome u never exceeds that stays put and moves no energy.
+    width = 2 * len(order) + 1
+    cum = np.full((3, width), np.inf)
+    target = np.repeat(np.arange(3)[:, None], width, axis=1)
+    channel = np.zeros((3, width), dtype=np.intp)
+    energy = np.zeros((3, width))
+    exit_rate = np.zeros(3)
     for i in range(3):
-        acc = 0.0
-        table = []
+        acc, n = 0.0, 0
         for ci, cid in enumerate(order):
             g = rates.per_channel[cid]
             for j in range(3):
                 if j != i and g[j, i] > 0.0:
                     acc += float(g[j, i])
-                    table.append((acc, j, ci, energies[j] - energies[i]))
+                    cum[i, n], target[i, n], channel[i, n] = acc, j, ci
+                    energy[i, n] = energies[j] - energies[i]
+                    n += 1
         exit_rate[i] = acc
-        outcomes[i] = [(c / acc, j, ci, de) for (c, j, ci, de) in table]
+        cum[i, :n] /= acc
 
     n_burn = n_jumps // 100
-    total_jumps = n_burn + n_jumps
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u_wait = rng.random(total_jumps).tolist()
-    u_pick = rng.random(total_jumps).tolist()
+    waits = np.random.Generator(np.random.PCG64(seed).advance(n_burn))
+    picks = np.random.Generator(np.random.PCG64(seed).advance(n_burn + n_jumps))
 
+    def chunk(state: int, size: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The next size jumps from state: the states they leave, their
+        outcomes, and the state after them."""
+        outcome = (picks.random(size)[:, None, None] <= cum).argmax(axis=2)  # (jump, state)
+        states, state = _walk(state, target[np.arange(3), outcome])
+        return states, outcome[np.arange(size), states], state
+
+    state = chunk(0, n_burn)[2]
     occ = np.zeros((_BATCHES, 3))
     heat = np.zeros((_BATCHES, len(order)))
     time_in_batch = np.zeros(_BATCHES)
-
-    state = 0
-    for k in range(total_jumps):
-        dt = -log1p(-u_wait[k]) / exit_rate[state]
-        u = u_pick[k]
-        target = state
-        ci = 0
-        de = 0.0
-        for cum, j, c, d in outcomes[state]:
-            if u <= cum:
-                target, ci, de = j, c, d
-                break
-        if k >= n_burn:
-            b = (k - n_burn) * _BATCHES // n_jumps
-            time_in_batch[b] += dt
-            occ[b, state] += dt
-            heat[b, ci] += de
-        state = target
+    # jump k after the burn-in falls in batch k * _BATCHES // n_jumps
+    ends = [-(-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]
+    for b in range(_BATCHES):
+        size = ends[b + 1] - ends[b]
+        states, outcome, state = chunk(state, size)
+        dt = -np.fromiter(map(log1p, memoryview(-waits.random(size))), float, size)
+        dt /= exit_rate[states]
+        time_in_batch[b] = np.bincount(np.zeros(size, dtype=np.intp), dt)[0]
+        occ[b] = np.bincount(states, dt, 3)
+        heat[b] = np.bincount(channel[states, outcome], energy[states, outcome], len(order))
 
     t_total = time_in_batch.sum()
     p_hat = occ.sum(axis=0) / t_total

@@ -238,7 +238,7 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
     point, slot = np.nonzero(keep)
     pref = channel_prefactors(freqs, omega_l, q[:, None], cfg.lambda_res, lambda_off[:, None])
     p, residual, connected, j, scale = solve_scenarios(freqs[point], pref[point], temps[point, slot])
-    failure = failure_codes(residual, connected)
+    failure = failure_codes(residual, connected, j, scale)
 
     rows = table[:, base_slot]
     error = np.where(error == "", np.array(FAILURE_KINDS, dtype=object)[failure[rows]], error)

@@ -27,7 +27,7 @@ import numpy as np
 from .circuit import CircuitParams, QutritSpectrum, derive_spectrum
 from .errors import AmbiguousExtremum, UndefinedCoefficient
 from .rates import CHANNEL_IDS, channel_prefactors
-from .steady import SteadyState, solve_scenarios, steady_state
+from .steady import SteadyState, failure_codes, solve_scenarios, steady_state
 
 #: A coefficient denominator below this fraction of the gross one-way flow is
 #: treated as 0/0 (UndefinedCoefficient) rather than as a value.
@@ -164,10 +164,13 @@ def solve_temperatures(
     config: SystemConfig, temperatures: Mapping[str, float]
 ) -> tuple[SteadyState, HeatCurrents]:
     """Solve the steady state at explicit per-bath temperatures: the batched
-    kernel (steady.solve_scenarios) at N = 1, bit for bit a sweep cell."""
+    kernel (steady.solve_scenarios) at N = 1, bit for bit a sweep cell; it
+    raises where the sweep flags the cell (steady.failure_codes)."""
     freqs = np.array([config.kernel_frequencies()[0]])
     p, residual, connected, j, scale = solve_scenarios(freqs, *config.channels(temperatures))
     steady = steady_state(p[0], residual[0], connected[0])
+    if failure_codes(residual, connected, j, scale)[0]:  # the populations passed
+        raise ValueError(f"heat currents {j[0].tolist()} with scale {scale[0]} are not finite")
     return steady, HeatCurrents(*j[0].tolist(), scale=float(scale[0]))
 
 

@@ -181,6 +181,13 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig3")
         assert code == 2 and "out" in err
 
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, capsys, monkeypatch, where):
+        # a missing directory (FileNotFoundError) and a directory (IsADirectoryError)
+        monkeypatch.setattr("qutrit_heat.cli.run_sweep", lambda spec: pytest.fail("sweep ran"))
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig3", "--out", str(tmp_path / where))
+        assert (code, out) == (2, "") and err.startswith("error: out: cannot write")
+
     def test_missing_spec_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and "preset" in err
@@ -304,11 +311,18 @@ def test_config_value_that_would_crash_or_be_ignored_exits_2(
     assert not out_csv.exists()
 
 
+#: Rates near the float range: the populations pass, the heat currents are NaN.
+NAN_CURRENT_POINT = ("--ta", "1e+300", "--q", "1e+300", "--lambda-res", "0",
+                     "--lambda-off", "1e+300", "--ej", "1e+300", "--ec", "1e-300")
+
+
 @pytest.mark.parametrize("argv, code", [
     (("steady", "--omega-c", "1e-300"), 0),  # an overflowing detuning filters to exactly 0
     (("steady", "--ta", "1e300", "--q", "1e-300"), 3),  # rates beyond the float range
     (("steady", "--ec", "0"), 3),  # no positive transition frequency
     (("verify", "--ta", "1e300", "--tb", "1e300", "--jumps", "10000"), 4),  # sigma_j is inf
+    (("steady", *NAN_CURRENT_POINT), 3),
+    (("verify", *NAN_CURRENT_POINT, "--jumps", "10000"), 3),
 ])
 def test_extreme_values_raise_no_floating_point_warning(capsys, argv, code):
     # the suite turns every RuntimeWarning into an error
@@ -380,9 +394,19 @@ README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",
      "j_b 4.0607364744994359e-05 3.2634949121282401e-05 1.8129053453471134e-05 0.44\n"
      "j_c -0.00012874011376125795 -9.5521669873943529e-05 3.2588819568637254e-05 1.02\n"
      "max_z 1.19\n"),
+    (("verify", "--ta", "3.0", "--tb", "1.5", "--tc", "2.0", "--jumps", "1000000", "--seed", "11"),
+     "quantity exact estimate sigma z\n"
+     "p0 0.82149277418120692 0.82134717757263342 0.0003167327121197144 0.46\n"
+     "p1 0.16946862315380745 0.16956792466500012 0.00030771772982568512 0.32\n"
+     "p2 0.0090386026649857034 0.0090848977623667823 5.774568454402203e-05 0.80\n"
+     "j_a 0.00047930756011228782 0.00046707008486334464 3.7046038323473054e-05 0.33\n"
+     "j_b -0.00010586385678108457 -0.00011684919379796153 2.9680884155054475e-05 0.37\n"
+     "j_c -0.00037344370333118214 -0.00035000618100154295 6.3853858329749114e-05 0.37\n"
+     "max_z 0.80\n"),
 ])
 def test_stdout_is_pinned(capsys, argv, stdout):
-    # full-precision output of the README steady point and two seeded verify runs
+    # full-precision output of the README steady and verify points and two more
+    # seeded verify runs; the README's 10**6 jumps fill 50 batches of 20,000
     assert run_cli(capsys, *argv)[:2] == (0, stdout)
 
 

@@ -26,6 +26,7 @@ from qutrit_heat import (
     preset,
     rectification_2t,
     run_sweep,
+    solve_temperatures,
     write_csv,
 )
 from qutrit_heat.steady import FAILURE_KINDS
@@ -152,6 +153,16 @@ class TestRunSweep:
         assert res.undefined_count() == 1
         # the equilibrium row still carries populations and currents
         assert first[cols.index("p0")] is not None
+
+    def test_non_finite_currents_are_error_rows(self):
+        # rates near the float range: the populations pass, the heat currents are NaN
+        cfg = config(circuit=CircuitParams(e_j=1e300, e_c=1e-300, phi=math.pi / 2), q=1e300,
+                     lambda_res=0.0, lambda_off=1e300)
+        res = run_sweep(spec((SweepAxis("hot_temperature", 1e299, 1e300, 2),), ("R_ab",),
+                             cfg=cfg, scenario=TemperatureScenario(hot=frozenset({"a"}))))
+        assert [row[1:] for row in res.rows] == [(None,) * 9 + ("error:ValueError",)] * 2
+        with pytest.raises(ValueError, match="not finite"):
+            solve_temperatures(cfg, {"a": 1e300, "b": 1.0, "c": 1.0})
 
     def test_serial_parallel_identical(self):
         s = spec(
