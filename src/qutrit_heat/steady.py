@@ -5,12 +5,20 @@ tree-theorem solve with its heat currents (the source of truth and the
 package's one solve path; solve_steady applies it to one RateMatrix), the
 closed-form current amplitude of the perfectly filtered limit (cross-check),
 and a jump-process Monte Carlo estimator.
+
+The estimator (Gillespie, J. Phys. Chem. 81, 2340, 1977) reproduces a
+jump-by-jump walk bit for bit without a Python loop per jump. One sorted
+table of all three states' cumulative outcome probabilities names each
+jump's outcome for every state with one interval lookup; a doubling scan of
+the jumps' next-state maps gives the trajectory; and the walk proceeds in
+chunks of CHUNK_JUMPS jumps whose in-order sums each chunk continues, so
+its memory does not grow with the jump count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isqrt, log1p
+from math import exp, log1p
 
 import numpy as np
 
@@ -23,6 +31,13 @@ RESIDUAL_TOL = 1e-10
 
 MIN_JUMPS = 10_000
 _BATCHES = 50
+#: Jumps gillespie_estimate walks at once, which bounds its memory whatever
+#: n_jumps is. No result depends on it.
+CHUNK_JUMPS = 8192
+
+#: A next-state map of the three states is a code in 0..26 whose base-3
+#: digit s, code // 3**s % 3, is the state it sends state s to.
+_DIGIT_WEIGHTS = (1, 3, 9)
 
 
 @dataclass(frozen=True)
@@ -232,31 +247,60 @@ class StochasticEstimate:
             raise ValueError("estimated populations must sum to 1")
 
 
-def _walk(start: int, step: np.ndarray) -> tuple[np.ndarray, int]:
-    """The states before each jump of a chunk, and the state after it, from
-    start and the chunk's next-state maps step (L, 3): a blocked scan.
+def _interval_tables(cum: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One lookup for all three states' outcome tables at once.
 
-    The L maps are cut into blocks of about sqrt(L), a short last block
-    padded with the identity map. All blocks step their three possible start
-    states in lockstep, then a loop over the blocks chains their end states.
-    A state is held as 3 * block + state, an index into the flat maps."""
-    n = len(step)
-    length = isqrt(n - 1) + 1
-    blocks = -(-n // length)
-    flat = np.empty((blocks * length, 3), dtype=np.intp)
-    flat[:n] = step
-    flat[n:] = (0, 1, 2)
-    flat = (flat.reshape(blocks, length, 3).transpose(1, 0, 2)
-            + 3 * np.arange(blocks)[:, None]).reshape(length, 3 * blocks)
-    at = np.empty((length + 1, 3 * blocks), dtype=np.intp)
-    at[0] = np.arange(3 * blocks)
-    for i in range(length):
-        flat[i].take(at[i], out=at[i + 1])
-    state, entry = start, []
-    for b, ends in enumerate((at[length] % 3).reshape(blocks, 3).tolist()):
-        entry.append(3 * b + state)
-        state = ends[state]
-    return at[:length, entry].T.reshape(-1)[:n] % 3, state
+    The finite cumulative probabilities of cum (3, width), sorted, cut [0, 1)
+    into intervals: a uniform u lies in interval breaks.searchsorted(u), the
+    number of breakpoints below u (a repeated breakpoint leaves an empty
+    interval). Every u of one interval compares alike with every entry of
+    cum, so the breakpoint closing the interval (inf for the last) stands in
+    for u, and outcome[k, i] is (u <= cum[i]).argmax() exactly, by
+    comparisons alone. code[k] is the jump's next-state map of the three
+    states, as a map code (see _DIGIT_WEIGHTS)."""
+    breaks = np.sort(cum[np.isfinite(cum)])  # np.unique would import numpy.ma
+    probe = np.append(breaks, np.inf)
+    outcome = (probe[:, None, None] <= cum).argmax(axis=2)  # (interval, state)
+    code = target[np.arange(3), outcome] @ _DIGIT_WEIGHTS
+    return breaks, code, outcome
+
+
+def _compose_table() -> np.ndarray:
+    """The code of map a followed by map b, at 27 * a + b. It is built per
+    estimate, not at import: numpy work at import raised the peak memory of
+    every command."""
+    digits = np.arange(27)[:, None] // _DIGIT_WEIGHTS % 3
+    return (digits[np.arange(27)[None, :, None], digits[:, None, :]] @ _DIGIT_WEIGHTS).ravel()
+
+
+def _scan(start: int, codes: np.ndarray, compose: np.ndarray) -> tuple[np.ndarray, int]:
+    """The states before each jump of a chunk, and the state after it, from
+    start and the chunk's next-state map codes: a doubling scan.
+
+    After the pass of step d, prefix[j] is the composition of the maps of
+    jumps max(0, j - 2d + 1) .. j (Hillis and Steele, Commun. ACM 29, 1170,
+    1986), so ceil(log2 L) passes of lookups in compose (_compose_table)
+    give every prefix, exactly: the codes are integers."""
+    prefix = codes.copy()
+    d = 1
+    while d < len(prefix):
+        prefix[d:] = compose.take(27 * prefix[:-d] + prefix[d:])
+        d *= 2
+    after = prefix // 3**start % 3
+    states = np.empty_like(after)
+    states[0] = start
+    states[1:] = after[:-1]
+    return states, int(after[-1])
+
+
+def _continued_sums(partial: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """partial[i] plus the weights at index i, added in order: the running
+    sums of the jump-by-jump walk, continued over one more chunk. bincount
+    adds in index order, and 0.0 + partial[i], its first addition, is
+    exact."""
+    n = len(partial)
+    return np.bincount(np.concatenate((np.arange(n), index)),
+                       np.concatenate((partial, weights)), n)
 
 
 def gillespie_estimate(
@@ -279,11 +323,17 @@ def gillespie_estimate(
     doubles. The target is the first outcome of the state's table whose
     cumulative probability is at least u_pick[k]; the waiting time is
     -log1p(-u_wait[k]) / exit rate, with libm's log1p. No loop runs per
-    jump: the burn-in and each batch form a chunk, whose next-state maps for
-    all three states are scanned in blocks (_walk), and whose sums are
-    in-order bincounts. The result is that of the jump-by-jump walk, bit for
-    bit, and deterministic for a given seed: numpy's log1p is not used, as
-    its SIMD paths, chosen by the CPU, differ in the last bits.
+    jump. The walk goes in chunks of at most CHUNK_JUMPS jumps, none
+    spanning the end of the burn-in or of a batch. In a chunk, one
+    searchsorted per jump finds u_pick[k]'s interval among the merged
+    outcome tables (_interval_tables), which names the jump's outcome and
+    next-state map for every state; a doubling scan of those maps (_scan)
+    gives the states the jumps leave; and in-order bincounts add the chunk
+    to its batch's sums, continuing them from their running values
+    (_continued_sums). Memory is therefore bounded by CHUNK_JUMPS, whatever
+    n_jumps is. The result is that of the jump-by-jump walk, bit for bit,
+    and deterministic for a given seed: numpy's log1p is not used, as its
+    SIMD paths, chosen by the CPU, differ in the last bits.
     """
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
@@ -314,31 +364,41 @@ def gillespie_estimate(
         exit_rate[i] = acc
         cum[i, :n] /= acc
 
+    breaks, code, outcome = _interval_tables(cum, target)
+    compose = _compose_table()
+    # channel and energy of a jump, at 3 * interval + the state it leaves
+    channel = channel[np.arange(3), outcome].ravel()
+    energy = energy[np.arange(3), outcome].ravel()
+
     n_burn = n_jumps // 100
     waits = np.random.Generator(np.random.PCG64(seed).advance(n_burn))
     picks = np.random.Generator(np.random.PCG64(seed).advance(n_burn + n_jumps))
 
     def chunk(state: int, size: int) -> tuple[np.ndarray, np.ndarray, int]:
         """The next size jumps from state: the states they leave, their
-        outcomes, and the state after them."""
-        outcome = (picks.random(size)[:, None, None] <= cum).argmax(axis=2)  # (jump, state)
-        states, state = _walk(state, target[np.arange(3), outcome])
-        return states, outcome[np.arange(size), states], state
+        table index 3 * interval + state, and the state after them."""
+        interval = breaks.searchsorted(picks.random(size))
+        states, state = _scan(state, code[interval], compose)
+        return states, 3 * interval + states, state
 
-    state = chunk(0, n_burn)[2]
+    state = 0
+    for start in range(0, n_burn, CHUNK_JUMPS):
+        state = chunk(state, min(CHUNK_JUMPS, n_burn - start))[2]
     occ = np.zeros((_BATCHES, 3))
     heat = np.zeros((_BATCHES, len(order)))
     time_in_batch = np.zeros(_BATCHES)
     # jump k after the burn-in falls in batch k * _BATCHES // n_jumps
     ends = [-(-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]
     for b in range(_BATCHES):
-        size = ends[b + 1] - ends[b]
-        states, outcome, state = chunk(state, size)
-        dt = -np.fromiter(map(log1p, memoryview(-waits.random(size))), float, size)
-        dt /= exit_rate[states]
-        time_in_batch[b] = np.bincount(np.zeros(size, dtype=np.intp), dt)[0]
-        occ[b] = np.bincount(states, dt, 3)
-        heat[b] = np.bincount(channel[states, outcome], energy[states, outcome], len(order))
+        for start in range(ends[b], ends[b + 1], CHUNK_JUMPS):
+            size = min(CHUNK_JUMPS, ends[b + 1] - start)
+            states, jump, state = chunk(state, size)
+            dt = -np.fromiter(map(log1p, memoryview(-waits.random(size))), float, size)
+            dt /= exit_rate[states]
+            time_in_batch[b:b + 1] = _continued_sums(
+                time_in_batch[b:b + 1], np.zeros(size, dtype=np.intp), dt)
+            occ[b] = _continued_sums(occ[b], states, dt)
+            heat[b] = _continued_sums(heat[b], channel[jump], energy[jump])
 
     t_total = time_in_batch.sum()
     p_hat = occ.sum(axis=0) / t_total

@@ -1,5 +1,7 @@
 """Jump-process estimator tests: determinism, equilibrium, solver agreement,
-bit-for-bit agreement with a jump-by-jump reference walk, and memory."""
+bit-for-bit agreement with a jump-by-jump reference walk and across chunk
+sizes, its interval lookup and doubling scan against brute force, and
+memory."""
 
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from qutrit_heat import (
     gillespie_estimate,
     solve_temperatures,
 )
-from qutrit_heat.steady import MIN_JUMPS
+from qutrit_heat import steady as steady_module
+from qutrit_heat.steady import MIN_JUMPS, _compose_table, _interval_tables, _scan
 
 CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 SPECTRUM = SystemConfig(circuit=CIRCUIT).spectrum
@@ -173,12 +176,93 @@ def test_estimate_equals_the_jump_by_jump_walk(merged, lambda_off, q, temps, n_j
         assert np.array_equal(getattr(est, name), expected), name
 
 
+def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
+    # batches of 9,000 jumps: the default chunk splits each in two
+    rates = assemble_rate_matrix(SPECTRUM, pinned_channels((3.0, 1.5, 2.0)))
+    n_jumps = 450_001
+    reference = gillespie_estimate(rates, SPECTRUM, n_jumps=n_jumps, seed=5)
+    assert n_jumps // 50 > steady_module.CHUNK_JUMPS
+    for chunk in (64, 1000, 8191, 10 * n_jumps):
+        monkeypatch.setattr(steady_module, "CHUNK_JUMPS", chunk)
+        est = gillespie_estimate(rates, SPECTRUM, n_jumps=n_jumps, seed=5)
+        for name in ("p_hat", "sigma_p", "j_hat", "sigma_j"):
+            assert np.array_equal(getattr(est, name), getattr(reference, name)), (chunk, name)
+
+
+def apply_code(code: int, state: int) -> int:
+    """The state a next-state map code sends state to: its base-3 digit."""
+    return code // 3**state % 3
+
+
+def test_composition_table_composes_the_maps():
+    compose = _compose_table()
+    assert compose.shape == (27 * 27,)
+    for a in range(27):
+        for b in range(27):
+            composed = int(compose[27 * a + b])
+            assert 0 <= composed < 27
+            for s in range(3):
+                assert apply_code(composed, s) == apply_code(b, apply_code(a, s))
+
+
+SCAN_LENGTHS = st.sampled_from([1, 2, 3]) | st.builds(
+    lambda k, off: max(1, 2**k + off), st.integers(1, 12), st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=SCAN_LENGTHS, start=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_scan_equals_a_plain_loop(length, start, seed):
+    codes = np.random.default_rng(seed).integers(0, 27, length)
+    states, end = _scan(start, codes, _compose_table())
+    expected, state = [], start
+    for code in codes.tolist():
+        expected.append(state)
+        state = apply_code(code, state)
+    assert states.tolist() == expected
+    assert end == state
+
+
+# cumulative tables drawn from a small pool of values, so that states share
+# breakpoints; each ends at 1.0 and is padded with inf, as in the estimator
+POOL = [0.0, 0.125, 0.3, 1 / 3, 0.5, math.nextafter(0.5, 1.0), 0.75, 0.999]
+
+
+def outcome_rows(width=7):
+    row = st.lists(st.sampled_from(POOL), max_size=width - 2, unique=True).map(
+        lambda v: sorted(v) + [1.0] + [math.inf] * (width - 1 - len(v)))
+    return st.tuples(row, row, row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=outcome_rows(), targets=st.lists(st.integers(0, 2), min_size=21, max_size=21))
+def test_interval_tables_equal_a_brute_force_argmax(rows, targets):
+    cum = np.array(rows)
+    target = np.array(targets, dtype=np.intp).reshape(3, 7)
+    breaks, code, outcome = _interval_tables(cum, target)
+    probes = [0.0, math.nextafter(1.0, 0.0)]
+    for b in breaks.tolist():
+        probes += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
+    for lo, hi in zip(breaks[:-1].tolist(), breaks[1:].tolist()):
+        probes.append(0.5 * (lo + hi))
+    for u in (p for p in probes if 0.0 <= p < 1.0):
+        k = int(breaks.searchsorted(u))
+        for i in range(3):
+            first = int((u <= cum[i]).argmax())
+            assert outcome[k, i] == first, (u, i)
+            assert apply_code(int(code[k]), i) == target[i, first], (u, i)
+
+
 def test_estimate_memory_does_not_grow_with_the_jump_count(equilibrium_rates):
-    # chunk-sized arrays only: the jump-by-jump walk held 69 MB of draws here
-    tracemalloc.start()
-    try:
-        gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=1_000_000, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # chunk-sized arrays only, so the peak is the same at both jump counts;
+    # a first call does numpy's lazy imports outside the traced calls
+    gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=MIN_JUMPS, seed=3)
+    peaks = []
+    for n_jumps in (1_000_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=n_jumps, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 16 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
