@@ -39,59 +39,60 @@ from .transport import (
     solve_temperatures,
 )
 
-DEFAULTS = {
-    "ej": 5.0,
-    "ec": 0.5,
-    "flux": pi / 2,
-    "q": 100.0,
-    "lambda_res": 1.0,
-    "lambda_off": 1.0,
-    "ta": 1.0,
-    "tb": 1.0,
-    "tc": 1.0,
-    "merge": None,
-    "omega_a": None,
-    "omega_b": None,
-    "omega_c": None,
-    "preset": None,
-    "out": None,
-    "seed": 1,
-    "jumps": 1_000_000,
-    "sweep": None,
+#: Every configuration key: its kind (see _checked), its default and its
+#: --help text, then the metavar where argparse's own would mislead. A key
+#: whose default is None may also be null; "sweep" has no flag.
+_KEYS = {
+    "ej": (float, 5.0, "Josephson energy (hbar*omega_r)"),
+    "ec": (float, 0.5, "charging energy (hbar*omega_r)"),
+    "flux": (float, pi / 2, "reduced flux phase (rad)"),
+    "q": (float, 100.0, "resonator quality factor"),
+    "lambda_res": (float, 1.0, "resonant coupling weight"),
+    "lambda_off": (float, 1.0, "off-resonant coupling weight"),
+    "ta": (float, 1.0, "bath a temperature (k_B T in hbar*omega_r)"),
+    "tb": (float, 1.0, "bath b temperature"),
+    "tc": (float, 1.0, "bath c temperature"),
+    "merge": (str, None, "two channels sharing one reservoir, e.g. b,c", "L,L'"),
+    "omega_a": (float, None, "pin resonator a frequency (default: its transition)"),
+    "omega_b": (float, None, "pin resonator b frequency"),
+    "omega_c": (float, None, "pin resonator c frequency"),
+    "preset": (str, None, "named sweep preset (sweep command)"),
+    "out": (str, None, "CSV output path (sweep command)", "PATH"),
+    "seed": (int, 1, "root RNG seed (verify command)"),
+    "jumps": (int, 1_000_000, "jump count (verify command)"),
+    "sweep": (dict, None, None),
 }
 
-_SCALAR_FLAGS = (
-    "ej", "ec", "flux", "q", "lambda_res", "lambda_off",
-    "ta", "tb", "tc", "omega_a", "omega_b", "omega_c",
-)
+DEFAULTS = {key: default for key, (_, default, *_) in _KEYS.items()}
+
+_EXPECTED = {int: "a non-negative integer", str: "a string", bool: "true or false",
+             list: "a list", dict: "a JSON object"}
+
+
+def _checked(where: str, value, kind: type):
+    """value if it is of kind, else a ConfigError that names `where`. Kind
+    str, bool, list or dict takes a value of that type, float any finite
+    number but true and false (returned as a float), and int a whole number
+    >= 0 within the float range."""
+    if kind in (float, int):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond any float
+            raise ConfigError(f"{where}: must be finite, got {value}")
+        if kind is float:
+            return float(value)
+    if not isinstance(value, kind) or (kind is int and value < 0):
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--ej", type=float, help="Josephson energy (hbar*omega_r)")
-    common.add_argument("--ec", type=float, help="charging energy (hbar*omega_r)")
-    common.add_argument("--flux", type=float, help="reduced flux phase (rad)")
-    common.add_argument("--q", type=float, help="resonator quality factor")
-    common.add_argument("--lambda-res", type=float, dest="lambda_res",
-                        help="resonant coupling weight")
-    common.add_argument("--lambda-off", type=float, dest="lambda_off",
-                        help="off-resonant coupling weight")
-    common.add_argument("--ta", type=float, help="bath a temperature (k_B T in hbar*omega_r)")
-    common.add_argument("--tb", type=float, help="bath b temperature")
-    common.add_argument("--tc", type=float, help="bath c temperature")
-    common.add_argument("--merge", metavar="L,L'",
-                        help="two channels sharing one reservoir, e.g. b,c")
-    common.add_argument("--omega-a", type=float, dest="omega_a",
-                        help="pin resonator a frequency (default: its transition)")
-    common.add_argument("--omega-b", type=float, dest="omega_b",
-                        help="pin resonator b frequency")
-    common.add_argument("--omega-c", type=float, dest="omega_c",
-                        help="pin resonator c frequency")
-    common.add_argument("--preset", help="named sweep preset (sweep command)")
-    common.add_argument("--out", metavar="PATH", help="CSV output path (sweep command)")
-    common.add_argument("--seed", type=int, help="root RNG seed (verify command)")
-    common.add_argument("--jumps", type=int, help="jump count (verify command)")
+    for key, (kind, _, text, *metavar) in _KEYS.items():
+        if text is not None:
+            common.add_argument("--" + key.replace("_", "-"), type=kind, help=text,
+                                metavar=metavar[0] if metavar else None)
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective config as JSON and exit")
     common.add_argument("--human", action="store_true",
@@ -114,9 +115,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _with_defaults(data, where: str, allowed=DEFAULTS) -> dict:
     """DEFAULTS updated with the JSON object `data`, all of whose keys are `allowed`."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
-    for key in data:
+    for key in _checked(where, data, dict):
         if key not in allowed:
             raise ConfigError(f"{where}: unknown key {key!r}")
     return {**DEFAULTS, **data}
@@ -137,8 +136,8 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
         cfg = _with_defaults(data, "config")
         explicit.update(data)
-    for key in _SCALAR_FLAGS + ("merge", "preset", "out", "seed", "jumps"):
-        value = getattr(args, key)
+    for key in _KEYS:
+        value = getattr(args, key, None)  # "sweep" has no flag
         if value is not None:
             cfg[key] = value
             explicit.add(key)
@@ -146,25 +145,17 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
 
 
 def _validate(cfg: dict) -> dict:
-    """Types, finiteness, temperatures, merge, seed and jumps. The ranges of
-    the system values are checked once, by CircuitParams and SystemConfig;
+    """Each key's kind, temperatures and merge. The ranges of the system
+    values are checked once, by CircuitParams and SystemConfig;
     _system_config turns their ValueError into a ConfigError (exit 2)."""
-    for key in _SCALAR_FLAGS + ("seed", "jumps"):
-        value = cfg[key]
-        if value is None and key.startswith("omega_"):
-            continue  # the resonator sits on its transition
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond any float
-            raise ConfigError(f"{key}: must be finite, got {value}")
-    for key in ("preset", "out"):
-        if cfg[key] is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"{key}: expected a string, got {cfg[key]!r}")
+    for key, (kind, default, *_) in _KEYS.items():
+        if cfg[key] is not None or default is not None:
+            _checked(key, cfg[key], kind)  # the value stays as given, for --dump-config
     for key in ("ta", "tb", "tc"):
         if cfg[key] < 0:
             raise ConfigError(f"{key}: temperature must be >= 0, got {cfg[key]}")
     if cfg["merge"] is not None:
-        parts = [p.strip() for p in str(cfg["merge"]).split(",")]
+        parts = [p.strip() for p in cfg["merge"].split(",")]
         if len(parts) != 2 or parts[0] == parts[1] or not set(parts) <= set(CHANNEL_IDS):
             raise ConfigError(f"merge: expected two distinct channels of a,b,c, got {cfg['merge']!r}")
         cfg["merge"] = ",".join(sorted(parts))
@@ -174,9 +165,6 @@ def _validate(cfg: dict) -> dict:
                 f"merge: channels {cfg['merge']} share a reservoir and must "
                 f"share a temperature (got {t1} and {t2})"
             )
-    for key in ("seed", "jumps"):
-        if not isinstance(cfg[key], int) or cfg[key] < 0:
-            raise ConfigError(f"{key}: expected a non-negative integer, got {cfg[key]!r}")
     return cfg
 
 
@@ -259,38 +247,41 @@ def _sweep_config(cfg: dict, explicit: set[str]) -> tuple[dict, SweepSpec]:
 
 
 def _parse_sweep_dict(data: dict) -> SweepSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("sweep: must be a JSON object")
+    """The spec of a config-file sweep section, whose values pass _checked
+    as the top-level keys do."""
+
+    def field(where: str, section: dict, kind: type, default=None):
+        return _checked(where, section.get(where.rpartition(".")[2], default), kind)
+
+    scen = field("sweep.scenario", data, dict, {})
+    fixed = _with_defaults(data.get("config", {}), "sweep.config", _FIXED)
+    passive = data.get("passive", "base")
     try:
-        axes = tuple(
-            SweepAxis(ax["name"], float(ax["start"]), float(ax["stop"]), int(ax["count"]))
-            for ax in data["axes"]
-        )
-        scen = data.get("scenario", {})
-        scenario = TemperatureScenario(
-            hot=frozenset(scen.get("hot", ())),
-            base=float(scen.get("base", 1.0)),
-            hot_temperature=float(scen.get("hot_temperature", 1.0)),
-            overrides=tuple(
-                (str(k), float(v)) for k, v in scen.get("overrides", {}).items()
-            ),
-        )
-        fixed = _with_defaults(data.get("config", {}), "sweep.config", _FIXED)
+        axes = []
+        for i, ax in enumerate(field("sweep.axes", data, list)):
+            where = f"sweep.axes[{i}]"
+            ax = _checked(where, ax, dict)
+            axes.append(SweepAxis(ax.get("name"), field(f"{where}.start", ax, float),
+                                  field(f"{where}.stop", ax, float), field(f"{where}.count", ax, int)))
         return SweepSpec(
             config=_system_config(_validate(fixed)),
-            scenario=scenario,
+            scenario=TemperatureScenario(
+                hot=field("sweep.scenario.hot", scen, list, []),
+                base=field("sweep.scenario.base", scen, float, 1.0),
+                hot_temperature=field("sweep.scenario.hot_temperature", scen, float, 1.0),
+                overrides={bath: _checked(f"sweep.scenario.overrides.{bath}", t, float)
+                           for bath, t in field("sweep.scenario.overrides", scen, dict, {}).items()},
+            ),
             axes=axes,
-            metrics=tuple(data.get("metrics", ())),
-            passive=data.get("passive", "base"),
-            repin_resonators=bool(data.get("repin_resonators", True)),
+            metrics=field("sweep.metrics", data, list, []),
+            passive=passive if isinstance(passive, str) else _checked("sweep.passive", passive, float),
+            repin_resonators=field("sweep.repin_resonators", data, bool, True),
         )
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
 
 
-def cmd_sweep(cfg: dict, explicit: set[str], human: bool = False) -> int:
+def cmd_sweep(cfg: dict, explicit: set[str]) -> int:
     """Run a sweep and write its CSV; per-point failures never abort."""
     spec = _sweep_config(cfg, explicit)[1]
     if cfg["out"] is None:
@@ -356,7 +347,7 @@ def main(argv=None) -> int:
         if args.command == "steady":
             return cmd_steady(cfg, human=args.human)
         if args.command == "sweep":
-            return cmd_sweep(cfg, explicit, human=args.human)
+            return cmd_sweep(cfg, explicit)
         return cmd_verify(cfg, human=args.human)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from math import inf, log10, pi, prod
 from pathlib import Path
 from types import NoneType
@@ -181,10 +182,7 @@ def _templates(spec: SweepSpec):
             templates.append(t)
         return templates.index(t)
 
-    def source(bath: str):
-        return dict(scen.overrides).get(bath, "hot" if bath in scen.hot else "base")
-
-    base = index(tuple(source(cfg.bath_of(c)) for c in CHANNEL_IDS))
+    base = index(tuple(scen.source(cfg.bath_of(c)) for c in CHANNEL_IDS))
     metrics = {}
     for name in spec.metric_columns:
         with suppress(ValueError):  # not defined on cfg: every row is flagged
@@ -338,126 +336,51 @@ def write_csv(result: SweepResult, destination) -> None:
 # Named presets reproducing the bundled parameter maps.
 # ---------------------------------------------------------------------------
 
-_MAP_CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=pi / 2)
 
-
-def _map_config(q: float = 100.0, lambda_off: float = 1.0) -> SystemConfig:
-    return SystemConfig(circuit=_MAP_CIRCUIT, q=q, lambda_res=1.0, lambda_off=lambda_off)
-
-
-def _preset_fig2() -> SweepSpec:
-    # Operation-regime map over (T_b, T_a) with bath c fixed at 2.
+def _map_preset(*axes: SweepAxis, base: float = 1.0, hot_temperature: float = 1.0,
+                overrides=(), lambda_off: float = 1.0, **spec) -> SweepSpec:
+    """A preset: a sweep of the map circuit (E_J = 5, E_C = 0.5, phi = pi/2)
+    at Q = 100 and lambda_res = 1 with bath a hot; spec may set metrics and
+    passive."""
     return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(
-            hot=frozenset({"a"}), base=1.0, hot_temperature=1.0,
-            overrides=(("c", 2.0),),
-        ),
-        axes=(
-            SweepAxis("base_temperature", 0.2, 4.0, 201),
-            SweepAxis("hot_temperature", 0.2, 4.0, 201),
-        ),
-    )
-
-
-def _preset_fig3() -> SweepSpec:
-    # Currents versus T_a with T_b = 1.5 and T_c = 2 held fixed.
-    return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(
-            hot=frozenset({"a"}), base=1.5, hot_temperature=2.0,
-            overrides=(("b", 1.5), ("c", 2.0)),
-        ),
-        axes=(SweepAxis("hot_temperature", 2.0, 4.0, 501),),
-    )
-
-
-def _rect_axes() -> tuple[SweepAxis, SweepAxis]:
-    return (
-        SweepAxis("base_temperature", 0.1, 4.0, 201),
-        SweepAxis("hot_temperature", 0.1, 4.0, 201),
-    )
-
-
-def _preset_fig4() -> SweepSpec:
-    # Three-terminal rectification maps in the perfectly filtered limit.
-    return SweepSpec(
-        config=_map_config(lambda_off=0.0),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=1.0, hot_temperature=1.0),
-        axes=_rect_axes(),
-        metrics=("R_ab", "R_ac", "R_bc"),
-    )
-
-
-def _preset_fig5() -> SweepSpec:
-    # Same maps with leaky couplings at Q = 100.
-    return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=1.0, hot_temperature=1.0),
-        axes=_rect_axes(),
-        metrics=("R_ab", "R_ac", "R_bc"),
-    )
-
-
-def _preset_fig6() -> SweepSpec:
-    # R_ab with the passive bath at the mean of the other two temperatures.
-    return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=1.0, hot_temperature=1.0),
-        axes=_rect_axes(),
-        metrics=("R_ab",),
-        passive="mean",
-    )
-
-
-def _preset_fig7() -> SweepSpec:
-    # Circulation coefficient map at Q = 100, phi = pi/2.
-    return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=1.0, hot_temperature=1.0),
-        axes=(
-            SweepAxis("base_temperature", 0.05, 2.0, 201),
-            SweepAxis("hot_temperature", 0.05, 4.0, 201),
-        ),
-        metrics=("C",),
-    )
-
-
-def _preset_fig7c() -> SweepSpec:
-    # Flux dependence of the circulation at base 0.9, hot temperature inside
-    # the perfect-circulation window of the phi = pi/2 map. The flux range
-    # stays inside the region where the fourth level clears the qutrit
-    # (omega32 > 0 for these circuit parameters).
-    return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.9, hot_temperature=3.86),
-        axes=(SweepAxis("flux", -4.5, 4.5, 501),),
-        metrics=("C",),
-    )
-
-
-def _preset_fig8() -> SweepSpec:
-    # Circulation versus base temperature and quality factor at hot T = 2.
-    return SweepSpec(
-        config=_map_config(),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=1.0, hot_temperature=2.0),
-        axes=(
-            SweepAxis("base_temperature", 0.05, 2.0, 201),
-            SweepAxis("log10_quality_factor", log10(50.0), 3.0, 201),
-        ),
-        metrics=("C",),
+        config=SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=pi / 2), q=100.0,
+                            lambda_res=1.0, lambda_off=lambda_off),
+        scenario=TemperatureScenario(hot=frozenset({"a"}), base=base,
+                                     hot_temperature=hot_temperature, overrides=overrides),
+        axes=axes, **spec,
     )
 
 
 PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
-    "fig7c": _preset_fig7c,
-    "fig8": _preset_fig8,
+    # Operation-regime map over (T_b, T_a) with bath c fixed at 2.
+    "fig2": partial(_map_preset, SweepAxis("base_temperature", 0.2, 4.0, 201),
+                    SweepAxis("hot_temperature", 0.2, 4.0, 201), overrides=(("c", 2.0),)),
+    # Currents versus T_a with T_b = 1.5 and T_c = 2 held fixed.
+    "fig3": partial(_map_preset, SweepAxis("hot_temperature", 2.0, 4.0, 501), base=1.5,
+                    hot_temperature=2.0, overrides=(("b", 1.5), ("c", 2.0))),
+    # Three-terminal rectification maps in the perfectly filtered limit.
+    "fig4": partial(_map_preset, SweepAxis("base_temperature", 0.1, 4.0, 201),
+                    SweepAxis("hot_temperature", 0.1, 4.0, 201), lambda_off=0.0,
+                    metrics=("R_ab", "R_ac", "R_bc")),
+    # Same maps with leaky couplings at Q = 100.
+    "fig5": partial(_map_preset, SweepAxis("base_temperature", 0.1, 4.0, 201),
+                    SweepAxis("hot_temperature", 0.1, 4.0, 201), metrics=("R_ab", "R_ac", "R_bc")),
+    # R_ab with the passive bath at the mean of the other two temperatures.
+    "fig6": partial(_map_preset, SweepAxis("base_temperature", 0.1, 4.0, 201),
+                    SweepAxis("hot_temperature", 0.1, 4.0, 201), metrics=("R_ab",), passive="mean"),
+    # Circulation coefficient map at Q = 100, phi = pi/2.
+    "fig7": partial(_map_preset, SweepAxis("base_temperature", 0.05, 2.0, 201),
+                    SweepAxis("hot_temperature", 0.05, 4.0, 201), metrics=("C",)),
+    # Flux dependence of the circulation at base 0.9, hot temperature inside
+    # the perfect-circulation window of the phi = pi/2 map. The flux range
+    # stays inside the region where the fourth level clears the qutrit
+    # (omega32 > 0 for these circuit parameters).
+    "fig7c": partial(_map_preset, SweepAxis("flux", -4.5, 4.5, 501), base=0.9,
+                     hot_temperature=3.86, metrics=("C",)),
+    # Circulation versus base temperature and quality factor at hot T = 2.
+    "fig8": partial(_map_preset, SweepAxis("base_temperature", 0.05, 2.0, 201),
+                    SweepAxis("log10_quality_factor", log10(50.0), 3.0, 201),
+                    hot_temperature=2.0, metrics=("C",)),
 }
 
 

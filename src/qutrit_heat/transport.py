@@ -77,8 +77,13 @@ class TemperatureScenario:
         if not all(0 <= t < inf for t in temps):
             raise ValueError(f"scenario temperatures must be finite and >= 0, got {temps}")
 
+    def source(self, bath: str) -> str | float:
+        """Where bath's temperature comes from: its override, else "hot" or "base"."""
+        return dict(self.overrides).get(bath, "hot" if bath in self.hot else "base")
+
     def temperature(self, bath: str) -> float:
-        return dict(self.overrides).get(bath, self.hot_temperature if bath in self.hot else self.base)
+        source = self.source(bath)
+        return {"hot": self.hot_temperature, "base": self.base}.get(source, source)
 
     def temperatures(self, baths) -> dict[str, float]:
         return {b: self.temperature(b) for b in baths}

@@ -311,6 +311,36 @@ def test_config_value_that_would_crash_or_be_ignored_exits_2(
     assert not out_csv.exists()
 
 
+def small_sweep_axis(**changes) -> dict:
+    return dict(SMALL_SWEEP, axes=[dict(SMALL_SWEEP["axes"][0], **changes)])
+
+
+@pytest.mark.parametrize("command, section, field", [
+    ("sweep", dict(SMALL_SWEEP, metrics=["R_ab"], passive=True), "sweep.passive"),
+    ("sweep", small_sweep_axis(start=True), "sweep.axes[0].start"),
+    ("sweep", small_sweep_axis(count=3.9), "sweep.axes[0].count"),
+    ("sweep", small_sweep_axis(count=True), "sweep.axes[0].count"),
+    ("sweep", small_sweep_axis(stop="2.0"), "sweep.axes[0].stop"),
+    ("sweep", dict(SMALL_SWEEP, repin_resonators="false"), "sweep.repin_resonators"),
+    ("sweep", dict(SMALL_SWEEP, scenario={"hot": "a"}), "sweep.scenario.hot"),
+    ("sweep", dict(SMALL_SWEEP, metrics="C"), "sweep.metrics"),
+    ("sweep", dict(SMALL_SWEEP, scenario={"hot": ["a"], "overrides": {"c": True}}),
+     "sweep.scenario.overrides.c"),
+    ("sweep", dict(SMALL_SWEEP, scenario={"hot": ["a"], "hot_temperature": False}),
+     "sweep.scenario.hot_temperature"),
+    ("steady", [], "sweep"),  # the section is an object whichever command reads the file
+])
+def test_sweep_section_follows_the_top_level_value_rule(tmp_path, capsys, command, section, field):
+    # float(), int(), bool() or frozenset() would make each of these run
+    cfg, out_csv = tmp_path / "c.json", tmp_path / "x.csv"
+    cfg.write_text(json.dumps({"sweep": section}))
+    for extra in ((), ("--dump-config",)):
+        code, stdout, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_csv), *extra)
+        assert (code, stdout) == (2, ""), extra
+        assert err.startswith(f"error: {field}: "), err
+    assert not out_csv.exists()
+
+
 #: Rates near the float range: the populations pass, the heat currents are NaN.
 NAN_CURRENT_POINT = ("--ta", "1e+300", "--q", "1e+300", "--lambda-res", "0",
                      "--lambda-off", "1e+300", "--ej", "1e+300", "--ec", "1e-300")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import warnings
@@ -388,6 +389,20 @@ class TestPresets:
             s = preset(name)
             assert isinstance(s, SweepSpec)
             assert 201 <= len(s.grid()) <= 201 * 201
+
+    @pytest.mark.parametrize("name, digest", [
+        ("fig2", "08be79a3a10c4ef4a1a29798531a93eb87f1e75286953f1bb127e97f61630aa4"),
+        ("fig3", "74b3a080bc5e6f1a8ed6a4d44ecd7c606f3da6a86fa5c438882f1f1958ee2bd7"),
+        ("fig4", "01b156695a402cc90030d76cf4e8b220dbb877d1f3ccb7883c833faa99886567"),
+        ("fig5", "c084757add88f9ae214ca84459eb318a165d7feac5691038d2a40d3a064b9511"),
+        ("fig6", "8ef15ec74388111deb656bb2423cd6308d452a097b24cb2548d4905081c7255c"),
+        ("fig7", "4295daf8c2b9c2c760ec0a91dc0f4d3e077452c3ccca79f36e1e64a5f99cf2a2"),
+        ("fig7c", "a04e40ce3b02fabea61cf76273682b06e3c75dd8d5cd51f5d7043d8522def890"),
+        ("fig8", "c31701d73bf4f0068acbae2566a8b8d1bc49fdaabc81139287ef74c653a79324"),
+    ])
+    def test_spec_is_pinned(self, name, digest):
+        # the sha256 of repr(spec): every field of every preset, without running it
+        assert hashlib.sha256(repr(preset(name)).encode()).hexdigest() == digest
 
     def test_unknown_preset_lists_names(self):
         with pytest.raises(KeyError, match="fig2"):
