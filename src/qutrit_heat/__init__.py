@@ -23,16 +23,11 @@ from .errors import (
     ReducibleChain,
     UndefinedCoefficient,
 )
-from .rates import (
-    RateMatrix,
-    assemble_rate_matrix,
-)
 from .steady import (
     SteadyState,
     StochasticEstimate,
     gillespie_estimate,
     ideal_current_amplitude,
-    solve_steady,
 )
 from .sweep import (
     PRESETS,
@@ -66,7 +61,6 @@ __all__ = [
     "PRESETS",
     "QutritHeatError",
     "QutritSpectrum",
-    "RateMatrix",
     "ReducibleChain",
     "SteadyState",
     "StochasticEstimate",
@@ -76,7 +70,6 @@ __all__ = [
     "SystemConfig",
     "TemperatureScenario",
     "UndefinedCoefficient",
-    "assemble_rate_matrix",
     "circulation",
     "classify_regime",
     "derive_spectrum",
@@ -87,7 +80,6 @@ __all__ = [
     "rectification_2t",
     "rectification_3t",
     "run_sweep",
-    "solve_steady",
     "solve_temperatures",
     "write_csv",
 ]

@@ -14,7 +14,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+import warnings
+from contextlib import suppress
+from dataclasses import fields, replace
 from math import inf, pi
 
 import numpy as np
@@ -28,7 +30,7 @@ from .errors import (
     QutritHeatError,
     ReducibleChain,
 )
-from .rates import CHANNEL_IDS, assemble_rate_matrix
+from .rates import CHANNEL_IDS
 from .steady import MIN_JUMPS, gillespie_estimate
 from .sweep import SweepAxis, SweepSpec, preset, run_sweep, write_csv
 from .transport import (
@@ -113,12 +115,12 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_defaults(data, where: str, allowed=DEFAULTS) -> dict:
-    """DEFAULTS updated with the JSON object `data`, all of whose keys are `allowed`."""
+def _known(data, where: str, allowed) -> dict:
+    """The JSON object `data`, all of whose keys are `allowed`."""
     for key in _checked(where, data, dict):
         if key not in allowed:
             raise ConfigError(f"{where}: unknown key {key!r}")
-    return {**DEFAULTS, **data}
+    return data
 
 
 def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
@@ -134,7 +136,7 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         except ValueError as exc:  # not UTF-8, not JSON, or an over-long integer
             raise ConfigError(f"config: invalid JSON in {args.config}: {exc}") from exc
-        cfg = _with_defaults(data, "config")
+        cfg = {**DEFAULTS, **_known(data, "config", DEFAULTS)}
         explicit.update(data)
     for key in _KEYS:
         value = getattr(args, key, None)  # "sweep" has no flag
@@ -248,19 +250,25 @@ def _sweep_config(cfg: dict, explicit: set[str]) -> tuple[dict, SweepSpec]:
 
 def _parse_sweep_dict(data: dict) -> SweepSpec:
     """The spec of a config-file sweep section, whose values pass _checked
-    as the top-level keys do."""
+    and whose keys _known as the top-level ones do. The keys of the section,
+    its scenario and each axis are the fields of SweepSpec,
+    TemperatureScenario and SweepAxis."""
 
     def field(where: str, section: dict, kind: type, default=None):
         return _checked(where, section.get(where.rpartition(".")[2], default), kind)
 
-    scen = field("sweep.scenario", data, dict, {})
-    fixed = _with_defaults(data.get("config", {}), "sweep.config", _FIXED)
+    def names(cls) -> list[str]:
+        return [f.name for f in fields(cls)]
+
+    data = _known(data, "sweep", names(SweepSpec))
+    scen = _known(data.get("scenario", {}), "sweep.scenario", names(TemperatureScenario))
+    fixed = {**DEFAULTS, **_known(data.get("config", {}), "sweep.config", _FIXED)}
     passive = data.get("passive", "base")
     try:
         axes = []
         for i, ax in enumerate(field("sweep.axes", data, list)):
             where = f"sweep.axes[{i}]"
-            ax = _checked(where, ax, dict)
+            ax = _known(ax, where, names(SweepAxis))
             axes.append(SweepAxis(ax.get("name"), field(f"{where}.start", ax, float),
                                   field(f"{where}.stop", ax, float), field(f"{where}.count", ax, int)))
         return SweepSpec(
@@ -282,17 +290,27 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
 
 
 def cmd_sweep(cfg: dict, explicit: set[str]) -> int:
-    """Run a sweep and write its CSV; per-point failures never abort."""
-    spec = _sweep_config(cfg, explicit)[1]
-    if cfg["out"] is None:
-        raise ConfigError("out: an output path is required for sweeps")
-    try:  # fail before the sweep, not after it; "a" keeps an old file until the write
-        open(cfg["out"], "a").close()
-    except OSError as exc:
-        raise ConfigError(f"out: cannot write {cfg['out']}: {exc}") from exc
-    t0 = time.perf_counter()
-    result = run_sweep(spec)
-    elapsed = time.perf_counter() - t0
+    """Run a sweep and write its CSV; per-point failures never abort. Each
+    warning of the run is one advisory line on stderr: run_sweep's linewidth
+    advisories of a Q axis, or else the fixed configuration's (none without
+    a spectrum: the sweep flags its rows), and the circuits' notes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        spec = _sweep_config(cfg, explicit)[1]
+        if cfg["out"] is None:
+            raise ConfigError("out: an output path is required for sweeps")
+        try:  # fail before the sweep, not after it; "a" keeps an old file until the write
+            open(cfg["out"], "a").close()
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {cfg['out']}: {exc}") from exc
+        if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
+            with suppress(QutritHeatError):
+                _print_advisories(spec.config)
+        t0 = time.perf_counter()
+        result = run_sweep(spec)
+        elapsed = time.perf_counter() - t0
+    for note in dict.fromkeys(str(warning.message) for warning in caught):
+        print(f"advisory: {note}", file=sys.stderr)
     write_csv(result, cfg["out"])
     print(f"rows {len(result.rows)}  undefined {result.undefined_count()}  "
           f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {cfg['out']}")
@@ -307,8 +325,7 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
     temps = _temperatures(cfg, config)
     _print_advisories(config)
     steady, currents = solve_temperatures(config, temps)
-    rates = assemble_rate_matrix(config.spectrum, config.channels(temps))
-    est = gillespie_estimate(rates, config.spectrum, n_jumps=cfg["jumps"], seed=cfg["seed"])
+    est = gillespie_estimate(*config.channels(temps), n_jumps=cfg["jumps"], seed=cfg["seed"])
 
     names = ["p0", "p1", "p2", "j_a", "j_b", "j_c"]
     exact = list(steady.p) + [currents.j_a, currents.j_b, currents.j_c]

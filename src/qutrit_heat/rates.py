@@ -8,21 +8,15 @@ Lorentzian [1 + Q^2 (w/w_l - w_l/w)^2]^-1 evaluated at the transition
 frequency. Rate pairs obey local detailed balance at the channel temperature.
 
 The rates are defined once, batched over N scenarios (channel_prefactors,
-thermal_rates); assemble_rate_matrix packs one scenario into 3x3 matrices.
+thermal_rates); one scenario is the case N = 1, as SystemConfig.channels
+gives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circuit import QutritSpectrum
-
 CHANNEL_IDS = ("a", "b", "c")
-
-# Upward transitions i -> j (E_j > E_i), in the kernel's (omega10, omega21, omega20) order.
-UPWARD_TRANSITIONS = ((0, 1), (1, 2), (0, 2))
 
 
 def bose_factors(omega, temperature):
@@ -62,33 +56,3 @@ def thermal_rates(freqs, prefactors, temperatures):
     n = bose_factors(freqs[:, None, :], temperatures[:, :, None])
     return prefactors * n, prefactors * (1.0 + n)
 
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Per-channel 3x3 transition rates and their elementwise total.
-
-    Entry [j, i] of a matrix is the rate of the i -> j transition induced by
-    that channel; diagonals are zero (the solver builds the generator's
-    diagonal itself). Arrays are marked read-only.
-    """
-
-    per_channel: dict[str, np.ndarray]
-    total: np.ndarray
-
-
-def assemble_rate_matrix(spectrum: QutritSpectrum, channels) -> RateMatrix:
-    """The 3x3 rate matrices of channels (prefactors, temperatures), the
-    kernel's N = 1 inputs that SystemConfig.channels gives, against a
-    spectrum: thermal_rates packed into [j, i] entries."""
-    freqs = np.array([[spectrum.omega10, spectrum.omega21, spectrum.omega20]])
-    up, down = thermal_rates(freqs, *channels)
-    per: dict[str, np.ndarray] = {}
-    for c, cid in enumerate(CHANNEL_IDS):
-        g = np.zeros((3, 3))
-        for t, (i, j) in enumerate(UPWARD_TRANSITIONS):
-            g[j, i], g[i, j] = up[0, c, t], down[0, c, t]
-        g.setflags(write=False)
-        per[cid] = g
-    total = per["a"] + per["b"] + per["c"]
-    total.setflags(write=False)
-    return RateMatrix(per_channel=per, total=total)

@@ -2,9 +2,9 @@
 
 Three independent routes to the same physics live here: the batched
 tree-theorem solve with its heat currents (the source of truth and the
-package's one solve path; solve_steady applies it to one RateMatrix), the
-closed-form current amplitude of the perfectly filtered limit (cross-check),
-and a jump-process Monte Carlo estimator.
+package's one solve path), the closed-form current amplitude of the
+perfectly filtered limit (cross-check), and a jump-process Monte Carlo
+estimator that takes the solve's inputs at N = 1.
 
 The estimator (Gillespie, J. Phys. Chem. 81, 2340, 1977) reproduces a
 jump-by-jump walk bit for bit without a Python loop per jump. One sorted
@@ -22,9 +22,8 @@ from math import exp, log1p
 
 import numpy as np
 
-from .circuit import QutritSpectrum
 from .errors import ReducibleChain
-from .rates import RateMatrix, thermal_rates
+from .rates import thermal_rates
 
 #: Max-norm bound on the residual of the (time-normalized) rate equations.
 RESIDUAL_TOL = 1e-10
@@ -72,10 +71,12 @@ def strongly_connected(k01, k10, k12, k21, k02, k20):
             & (e12 | (e10 & e02)) & (e20 | (e21 & e10)) & (e21 | (e20 & e01)))
 
 
-def edge_rates(total) -> tuple:
-    """(k01, k10, k12, k21, k02, k20), kij the rate i -> j, of [..., j, i] matrices."""
-    t = np.asarray(total, dtype=float)
-    return t[..., 1, 0], t[..., 0, 1], t[..., 2, 1], t[..., 1, 2], t[..., 2, 0], t[..., 0, 2]
+def edge_rates(up, down) -> tuple:
+    """(k01, k10, k12, k21, k02, k20), kij the total rate i -> j (N,), of
+    thermal_rates' (N, channel, transition) up and down rates: the sum of
+    channels a + b + c."""
+    k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
+    return k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2]
 
 
 def _trees(k01, k10, k12, k21, k02, k20):
@@ -149,9 +150,7 @@ def solve_scenarios(freqs, prefactors, temperatures) -> tuple:
     residual, which failure_codes flags."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         up, down = thermal_rates(freqs, prefactors, temperatures)
-        k_up, k_down = up[:, 0] + up[:, 1] + up[:, 2], down[:, 0] + down[:, 1] + down[:, 2]
-        p, residual, connected, trees = stationary(
-            k_up[:, 0], k_down[:, 0], k_up[:, 1], k_down[:, 1], k_up[:, 2], k_down[:, 2])
+        p, residual, connected, trees = stationary(*edge_rates(up, down))
         return (p, residual, connected, *channel_currents(freqs, up, down, p, trees))
 
 
@@ -165,23 +164,6 @@ def failure_codes(residual, connected, j, scale) -> np.ndarray:
     the populations fine and the currents NaN)."""
     solved = (residual <= RESIDUAL_TOL) & np.isfinite(j).all(axis=-1) & np.isfinite(scale)
     return np.where(connected, np.where(solved, 0, 2), 1)
-
-
-def steady_state(p: np.ndarray, residual, connected) -> SteadyState:
-    """One kernel row as a SteadyState; raises as FAILURE_KINDS names."""
-    if not connected:
-        raise ReducibleChain("rate digraph is not strongly connected")
-    p = p.copy()
-    p.setflags(write=False)
-    return SteadyState(p=p, residual=float(residual))
-
-
-def solve_steady(rates: RateMatrix) -> SteadyState:
-    """Unique stationary distribution of the total rate matrix (stationary
-    at N = 1); raises ReducibleChain for a chain that is not strongly
-    connected rather than return one of many stationary vectors."""
-    p, residual, connected, _ = stationary(*(k[None] for k in edge_rates(rates.total)))
-    return steady_state(p[0], residual[0], connected[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +181,8 @@ def ideal_current_amplitude(
     theta_l = omega_l / T_l. The heat currents of the ideal limit are
     J_a = omega_a * A, J_b = omega_b * A, J_c = -omega_c * A. The amplitude
     vanishes exactly at the stall condition theta_c = theta_a + theta_b. Its
-    sign agrees with the net cycle flux of solve_steady (a test pins this).
+    sign agrees with the net cycle flux of the stationary solve (a test pins
+    this).
     """
     if not (theta_a > 0 and theta_b > 0 and theta_c > 0):
         raise ValueError("thetas must be positive and finite")
@@ -231,7 +214,7 @@ class StochasticEstimate:
     Standard errors come from 50 batch means over contiguous stretches of
     the one trajectory that gillespie_estimate walks. Positive currents mean
     heat flowing out of the bath, matching the deterministic pipeline. Every
-    field is a function of (rates, spectrum, n_jumps, seed) alone, bit for
+    field is a function of gillespie_estimate's arguments alone, bit for
     bit.
     """
 
@@ -303,19 +286,17 @@ def _continued_sums(partial: np.ndarray, index: np.ndarray, weights: np.ndarray)
                        np.concatenate((partial, weights)), n)
 
 
-def gillespie_estimate(
-    rates: RateMatrix,
-    spectrum: QutritSpectrum,
-    n_jumps: int,
-    seed: int,
-) -> StochasticEstimate:
+def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: np.ndarray,
+                       n_jumps: int, seed: int) -> StochasticEstimate:
     """Simulate the continuous-time jump process and estimate steady values.
 
-    Waiting times are exponential in the total exit rate of the current
-    state; the jump target and the responsible channel are drawn from the
-    individual rates. Each jump through channel l moves energy
-    E_target - E_source out of bath l. The first n_jumps // 100 jumps are
-    discarded as burn-in; the remaining n_jumps are accumulated in
+    The rates are thermal_rates of solve_scenarios' inputs at N = 1, as
+    SystemConfig.channels gives them. Waiting times are exponential in the
+    total exit rate of the current state; the jump target and the
+    responsible channel are drawn from the individual rates. Each jump
+    through channel l moves energy E_target - E_source out of bath l, the
+    level energies being (0, omega10, omega20). The first n_jumps // 100
+    jumps are discarded as burn-in; the remaining n_jumps are accumulated in
     occupation-time averages over 50 contiguous batches.
 
     Jump k draws u_wait[k] and u_pick[k], the k-th doubles of two streams of
@@ -337,32 +318,33 @@ def gillespie_estimate(
     """
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
-    if not strongly_connected(*edge_rates(rates.total)):
+    if len(freqs) != 1:
+        raise ValueError(f"gillespie_estimate walks one scenario, got {len(freqs)}")
+    up, down = thermal_rates(freqs, prefactors, temperatures)
+    if not strongly_connected(*edge_rates(up, down))[0]:
         raise ReducibleChain("rate digraph is not strongly connected")
 
-    energies = spectrum.energies
-    order = sorted(rates.per_channel)
+    energies = np.array([0.0, freqs[0, 0], freqs[0, 2]])
+    # rate[l, i, j]: channel l's rate of the jump i -> j; transition t is
+    # ((0, 1), (1, 2), (0, 2))[t], up at up[0, l, t] and down at down[0, l, t]
+    rate = np.zeros((3, 3, 3))
+    rate[:, (0, 1, 0), (1, 2, 2)] = up[0]
+    rate[:, (1, 2, 2), (0, 1, 0)] = down[0]
     # Per state: exit rate and the outcome table (cumulative prob, target,
-    # channel index, energy out of that channel's bath), padded with an
-    # outcome u never exceeds that stays put and moves no energy.
-    width = 2 * len(order) + 1
-    cum = np.full((3, width), np.inf)
-    target = np.repeat(np.arange(3)[:, None], width, axis=1)
-    channel = np.zeros((3, width), dtype=np.intp)
-    energy = np.zeros((3, width))
+    # channel index, energy out of that channel's bath) of its jumps of
+    # positive rate, channel by channel, padded to 7 with an outcome u never
+    # exceeds that stays put and moves no energy. cumsum adds in order.
+    cum = np.full((3, 7), np.inf)
+    target = np.repeat(np.arange(3)[:, None], 7, axis=1)
+    channel = np.zeros((3, 7), dtype=np.intp)
+    energy = np.zeros((3, 7))
     exit_rate = np.zeros(3)
     for i in range(3):
-        acc, n = 0.0, 0
-        for ci, cid in enumerate(order):
-            g = rates.per_channel[cid]
-            for j in range(3):
-                if j != i and g[j, i] > 0.0:
-                    acc += float(g[j, i])
-                    cum[i, n], target[i, n], channel[i, n] = acc, j, ci
-                    energy[i, n] = energies[j] - energies[i]
-                    n += 1
-        exit_rate[i] = acc
-        cum[i, :n] /= acc
+        ci, j = np.nonzero(rate[:, i] > 0.0)
+        acc = np.cumsum(rate[ci, i, j])
+        exit_rate[i] = acc[-1]
+        cum[i, :len(j)], target[i, :len(j)], channel[i, :len(j)] = acc / acc[-1], j, ci
+        energy[i, :len(j)] = energies[j] - energies[i]
 
     breaks, code, outcome = _interval_tables(cum, target)
     compose = _compose_table()
@@ -385,7 +367,7 @@ def gillespie_estimate(
     for start in range(0, n_burn, CHUNK_JUMPS):
         state = chunk(state, min(CHUNK_JUMPS, n_burn - start))[2]
     occ = np.zeros((_BATCHES, 3))
-    heat = np.zeros((_BATCHES, len(order)))
+    heat = np.zeros((_BATCHES, 3))
     time_in_batch = np.zeros(_BATCHES)
     # jump k after the burn-in falls in batch k * _BATCHES // n_jumps
     ends = [-(-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]

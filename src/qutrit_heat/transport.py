@@ -25,9 +25,9 @@ from typing import Mapping
 import numpy as np
 
 from .circuit import CircuitParams, QutritSpectrum, derive_spectrum
-from .errors import AmbiguousExtremum, UndefinedCoefficient
+from .errors import AmbiguousExtremum, ReducibleChain, UndefinedCoefficient
 from .rates import CHANNEL_IDS, channel_prefactors
-from .steady import SteadyState, failure_codes, solve_scenarios, steady_state
+from .steady import SteadyState, failure_codes, solve_scenarios
 
 #: A coefficient denominator below this fraction of the gross one-way flow is
 #: treated as 0/0 (UndefinedCoefficient) rather than as a value.
@@ -151,18 +151,20 @@ class SystemConfig:
             raise ValueError(f"transition frequencies must be positive, got {freqs}")
         return freqs, tuple(self.resonator_frequency(cid) for cid in CHANNEL_IDS)
 
-    def channels(self, temperatures: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel's N = 1 channel inputs at per-bath temperatures:
-        rates.channel_prefactors (1, 3, 3) and the channel temperatures
-        (1, 3). The channels of a merged bath take its one temperature. The
-        scalar API checks those temperatures (finite, >= 0) here only."""
+    def channels(self, temperatures: Mapping[str, float]) -> tuple[np.ndarray, ...]:
+        """The kernel's N = 1 inputs at per-bath temperatures: transition
+        frequencies (1, 3), rates.channel_prefactors (1, 3, 3) and channel
+        temperatures (1, 3). The channels of a merged bath take its one
+        temperature. The scalar API checks those temperatures (finite, >= 0)
+        here only."""
         temps = [temperatures[self.bath_of(cid)] for cid in CHANNEL_IDS]
         if not all(0 <= t < inf for t in temps):
             raise ValueError(f"temperatures must be finite and >= 0, got {temps}")
         freqs, omega_l = self.kernel_frequencies()
-        pref = channel_prefactors(np.array([freqs]), np.array([omega_l]), self.q,
+        freqs = np.array([freqs])
+        pref = channel_prefactors(freqs, np.array([omega_l]), self.q,
                                   self.lambda_res, self.lambda_off)
-        return pref, np.array([temps], dtype=float)
+        return freqs, pref, np.array([temps], dtype=float)
 
 
 def solve_temperatures(
@@ -171,9 +173,12 @@ def solve_temperatures(
     """Solve the steady state at explicit per-bath temperatures: the batched
     kernel (steady.solve_scenarios) at N = 1, bit for bit a sweep cell; it
     raises where the sweep flags the cell (steady.failure_codes)."""
-    freqs = np.array([config.kernel_frequencies()[0]])
-    p, residual, connected, j, scale = solve_scenarios(freqs, *config.channels(temperatures))
-    steady = steady_state(p[0], residual[0], connected[0])
+    p, residual, connected, j, scale = solve_scenarios(*config.channels(temperatures))
+    if not connected[0]:
+        raise ReducibleChain("rate digraph is not strongly connected")
+    p = p[0]
+    p.setflags(write=False)
+    steady = SteadyState(p=p, residual=float(residual[0]))
     if failure_codes(residual, connected, j, scale)[0]:  # the populations passed
         raise ValueError(f"heat currents {j[0].tolist()} with scale {scale[0]} are not finite")
     return steady, HeatCurrents(*j[0].tolist(), scale=float(scale[0]))

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -329,6 +330,11 @@ def small_sweep_axis(**changes) -> dict:
     ("sweep", dict(SMALL_SWEEP, scenario={"hot": ["a"], "hot_temperature": False}),
      "sweep.scenario.hot_temperature"),
     ("steady", [], "sweep"),  # the section is an object whichever command reads the file
+    # misspelt keys at each level, which would otherwise be dropped unread
+    ("sweep", {"axes": [dict(SMALL_SWEEP["axes"][0], cuont=50)],
+               "scenario": {"hot": ["a"], "base": 0.9, "hott": 3}, "metric": ["C"]}, "sweep"),
+    ("sweep", small_sweep_axis(cuont=50), "sweep.axes[0]"),
+    ("sweep", dict(SMALL_SWEEP, scenario={"hot": ["a"], "hott": 3}), "sweep.scenario"),
 ])
 def test_sweep_section_follows_the_top_level_value_rule(tmp_path, capsys, command, section, field):
     # float(), int(), bool() or frozenset() would make each of these run
@@ -339,6 +345,34 @@ def test_sweep_section_follows_the_top_level_value_rule(tmp_path, capsys, comman
         assert (code, stdout) == (2, ""), extra
         assert err.startswith(f"error: {field}: "), err
     assert not out_csv.exists()
+
+
+def advisories(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("advisory: ")]
+
+
+def test_sweep_prints_the_advisories_of_its_fixed_config(tmp_path, capsys):
+    steady_err = run_cli(capsys, "steady", "--q", "5")[2]
+    code, _, err = run_cli(capsys, "sweep", "--preset", "fig3", "--q", "5",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert len(advisories(err)) == 3 and advisories(err) == advisories(steady_err)
+    code, _, err = run_cli(capsys, "sweep", "--preset", "fig3", "--out", str(tmp_path / "x.csv"))
+    assert (code, advisories(err)) == (0, [])
+
+
+def test_sweep_prints_the_advisories_of_its_q_axis(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sweep": {
+        "axes": [{"name": "quality_factor", "start": 5.0, "stop": 50.0, "count": 2}],
+        "scenario": {"hot": ["a"], "base": 0.9}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a raw warning would raise here
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    # the linewidths at the lowest Q, 5, not at the fixed config's Q = 100
+    assert advisories(err) == advisories(run_cli(capsys, "steady", "--q", "5")[2])
+    assert "Warning" not in err and "run_sweep" not in err
 
 
 #: Rates near the float range: the populations pass, the heat currents are NaN.
@@ -433,10 +467,21 @@ README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",
      "j_b -0.00010586385678108457 -0.00011684919379796153 2.9680884155054475e-05 0.37\n"
      "j_c -0.00037344370333118214 -0.00035000618100154295 6.3853858329749114e-05 0.37\n"
      "max_z 0.80\n"),
+    (("verify", "--merge", "b,c", "--tb", "2", "--tc", "2", "--q", "20", "--lambda-off", "0.3",
+      "--jumps", "50000", "--seed", "11"),
+     "quantity exact estimate sigma z\n"
+     "p0 0.97593351774646597 0.97617879237829797 0.00029374473205865553 0.83\n"
+     "p1 0.016642501747155529 0.016403012869164024 0.00025366597394109534 0.94\n"
+     "p2 0.0074239805063785564 0.0074181947525376697 7.9835525352555265e-05 0.07\n"
+     "j_a -0.018278498615645546 -0.017964707074454789 0.0002859717179884547 1.10\n"
+     "j_b -0.0071363637325306409 -0.0074594862718592152 0.00024359321255951264 1.33\n"
+     "j_c 0.025414862348176189 0.025417944560840663 0.00043196699212529429 0.01\n"
+     "max_z 1.33\n"),
 ])
 def test_stdout_is_pinned(capsys, argv, stdout):
-    # full-precision output of the README steady and verify points and two more
-    # seeded verify runs; the README's 10**6 jumps fill 50 batches of 20,000
+    # full-precision output of the README steady and verify points and three
+    # more seeded verify runs, one a merged bath at Q = 20 with lambda_off = 0.3;
+    # the README's 10**6 jumps fill 50 batches of 20,000
     assert run_cli(capsys, *argv)[:2] == (0, stdout)
 
 

@@ -17,11 +17,11 @@ from qutrit_heat import (
     CircuitParams,
     ReducibleChain,
     SystemConfig,
-    assemble_rate_matrix,
     gillespie_estimate,
     solve_temperatures,
 )
 from qutrit_heat import steady as steady_module
+from qutrit_heat.rates import thermal_rates
 from qutrit_heat.steady import MIN_JUMPS, _compose_table, _interval_tables, _scan
 
 CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
@@ -35,6 +35,7 @@ def pinned_config(q=100.0) -> SystemConfig:
 
 
 def pinned_channels(temps, q=100.0):
+    """The kernel's N = 1 inputs (freqs, prefactors, temperatures) of pinned_config."""
     return pinned_config(q).channels(dict(zip("abc", temps)))
 
 
@@ -51,20 +52,20 @@ def z_max(est, p_exact, j_exact) -> float:
 
 
 @pytest.fixture(scope="module")
-def equilibrium_rates():
-    return assemble_rate_matrix(SPECTRUM, pinned_channels((2.0, 2.0, 2.0)))
+def equilibrium_channels():
+    return pinned_channels((2.0, 2.0, 2.0))
 
 
-def test_deterministic_given_seed(equilibrium_rates):
-    e1 = gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=20_000, seed=42)
-    e2 = gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=20_000, seed=42)
+def test_deterministic_given_seed(equilibrium_channels):
+    e1 = gillespie_estimate(*equilibrium_channels, n_jumps=20_000, seed=42)
+    e2 = gillespie_estimate(*equilibrium_channels, n_jumps=20_000, seed=42)
     assert np.array_equal(e1.p_hat, e2.p_hat)
     assert np.array_equal(e1.j_hat, e2.j_hat)
     assert np.array_equal(e1.sigma_p, e2.sigma_p)
 
 
-def test_equilibrium_agrees_with_gibbs(equilibrium_rates):
-    est = gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=200_000, seed=7)
+def test_equilibrium_agrees_with_gibbs(equilibrium_channels):
+    est = gillespie_estimate(*equilibrium_channels, n_jumps=200_000, seed=7)
     _, j = solve_temperatures(pinned_config(), dict.fromkeys("abc", 2.0))
     gibbs = np.exp(-np.array(SPECTRUM.energies) / 2.0)
     gibbs /= gibbs.sum()
@@ -73,49 +74,58 @@ def test_equilibrium_agrees_with_gibbs(equilibrium_rates):
     assert np.all(est.sigma_p > 0.0) and np.all(est.sigma_j > 0.0)
 
 
-def test_two_seeds_compatible(equilibrium_rates):
-    e1 = gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=100_000, seed=1)
-    e2 = gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=100_000, seed=2)
+def test_two_seeds_compatible(equilibrium_channels):
+    e1 = gillespie_estimate(*equilibrium_channels, n_jumps=100_000, seed=1)
+    e2 = gillespie_estimate(*equilibrium_channels, n_jumps=100_000, seed=2)
     assert not np.array_equal(e1.p_hat, e2.p_hat)
     combined = np.sqrt(e1.sigma_p**2 + e2.sigma_p**2)
     assert np.all(np.abs(e1.p_hat - e2.p_hat) <= 3.0 * combined)
 
 
 def test_nonequilibrium_agrees_with_solver():
-    rm = assemble_rate_matrix(SPECTRUM, pinned_channels((3.0, 1.5, 2.0)))
     st, j = solve_temperatures(pinned_config(), {"a": 3.0, "b": 1.5, "c": 2.0})
-    est = gillespie_estimate(rm, SPECTRUM, n_jumps=300_000, seed=12)
+    est = gillespie_estimate(*pinned_channels((3.0, 1.5, 2.0)), n_jumps=300_000, seed=12)
     assert z_max(est, st.p, (j.j_a, j.j_b, j.j_c)) <= 3.0
 
 
 def test_minimum_jump_count_enforced():
-    rm = assemble_rate_matrix(SPECTRUM, pinned_channels((2.0, 2.0, 2.0)))
     with pytest.raises(ValueError, match="10000"):
-        gillespie_estimate(rm, SPECTRUM, n_jumps=10, seed=0)
+        gillespie_estimate(*pinned_channels((2.0, 2.0, 2.0)), n_jumps=10, seed=0)
+
+
+def test_one_scenario_only():
+    freqs, prefactors, temperatures = pinned_channels((2.0, 2.0, 2.0))
+    with pytest.raises(ValueError, match="one scenario"):
+        gillespie_estimate(np.repeat(freqs, 2, axis=0), np.repeat(prefactors, 2, axis=0),
+                           np.repeat(temperatures, 2, axis=0), n_jumps=MIN_JUMPS, seed=0)
 
 
 def test_reducible_chain_rejected():
-    rm = assemble_rate_matrix(SPECTRUM, pinned_channels((0.0, 0.0, 0.0)))
     with pytest.raises(ReducibleChain):
-        gillespie_estimate(rm, SPECTRUM, n_jumps=20_000, seed=0)
+        gillespie_estimate(*pinned_channels((0.0, 0.0, 0.0)), n_jumps=20_000, seed=0)
 
 
-def reference_estimate(rates, spectrum, n_jumps, seed):
+def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
     """The jump-by-jump walk gillespie_estimate must reproduce bit for bit:
-    (p_hat, sigma_p, j_hat, sigma_j), one Python iteration per jump."""
+    (p_hat, sigma_p, j_hat, sigma_j), one Python iteration per jump. Its
+    rates are thermal_rates of the same inputs; outcomes are listed channel
+    by channel (a, b, c), then by target state."""
     batches = 50
-    energies = spectrum.energies
-    order = sorted(rates.per_channel)
+    up, down = thermal_rates(freqs, prefactors, temperatures)
+    energies = (0.0, float(freqs[0, 0]), float(freqs[0, 2]))
+    rate = {}  # (channel, i, j): the rate of the jump i -> j through channel
+    for t, (lo, hi) in enumerate(((0, 1), (1, 2), (0, 2))):
+        for ci in range(3):
+            rate[ci, lo, hi], rate[ci, hi, lo] = float(up[0, ci, t]), float(down[0, ci, t])
     exit_rate = [0.0, 0.0, 0.0]
     outcomes = [[], [], []]
     for i in range(3):
         acc = 0.0
         table = []
-        for ci, cid in enumerate(order):
-            g = rates.per_channel[cid]
+        for ci in range(3):
             for j in range(3):
-                if j != i and g[j, i] > 0.0:
-                    acc += float(g[j, i])
+                if j != i and rate[ci, i, j] > 0.0:
+                    acc += rate[ci, i, j]
                     table.append((acc, j, ci, energies[j] - energies[i]))
         exit_rate[i] = acc
         outcomes[i] = [(c / acc, j, ci, de) for (c, j, ci, de) in table]
@@ -127,7 +137,7 @@ def reference_estimate(rates, spectrum, n_jumps, seed):
     u_pick = rng.random(total_jumps).tolist()
 
     occ = np.zeros((batches, 3))
-    heat = np.zeros((batches, len(order)))
+    heat = np.zeros((batches, 3))
     time_in_batch = np.zeros(batches)
 
     state = 0
@@ -169,22 +179,21 @@ TEMPERATURE = st.sampled_from([0.3, 4.0]) | st.floats(0.3, 4.0)
 def test_estimate_equals_the_jump_by_jump_walk(merged, lambda_off, q, temps, n_jumps, seed):
     config = SystemConfig(circuit=CIRCUIT, q=q, lambda_off=lambda_off, merged=merged)
     channels = config.channels({config.bath_of(c): t for c, t in zip("abc", temps)})
-    rates = assemble_rate_matrix(config.spectrum, channels)
-    est = gillespie_estimate(rates, config.spectrum, n_jumps=n_jumps, seed=seed)
-    reference = reference_estimate(rates, config.spectrum, n_jumps, seed)
+    est = gillespie_estimate(*channels, n_jumps=n_jumps, seed=seed)
+    reference = reference_estimate(*channels, n_jumps, seed)
     for name, expected in zip(("p_hat", "sigma_p", "j_hat", "sigma_j"), reference):
         assert np.array_equal(getattr(est, name), expected), name
 
 
 def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
     # batches of 9,000 jumps: the default chunk splits each in two
-    rates = assemble_rate_matrix(SPECTRUM, pinned_channels((3.0, 1.5, 2.0)))
+    channels = pinned_channels((3.0, 1.5, 2.0))
     n_jumps = 450_001
-    reference = gillespie_estimate(rates, SPECTRUM, n_jumps=n_jumps, seed=5)
+    reference = gillespie_estimate(*channels, n_jumps=n_jumps, seed=5)
     assert n_jumps // 50 > steady_module.CHUNK_JUMPS
     for chunk in (64, 1000, 8191, 10 * n_jumps):
         monkeypatch.setattr(steady_module, "CHUNK_JUMPS", chunk)
-        est = gillespie_estimate(rates, SPECTRUM, n_jumps=n_jumps, seed=5)
+        est = gillespie_estimate(*channels, n_jumps=n_jumps, seed=5)
         for name in ("p_hat", "sigma_p", "j_hat", "sigma_j"):
             assert np.array_equal(getattr(est, name), getattr(reference, name)), (chunk, name)
 
@@ -252,15 +261,15 @@ def test_interval_tables_equal_a_brute_force_argmax(rows, targets):
             assert apply_code(int(code[k]), i) == target[i, first], (u, i)
 
 
-def test_estimate_memory_does_not_grow_with_the_jump_count(equilibrium_rates):
+def test_estimate_memory_does_not_grow_with_the_jump_count(equilibrium_channels):
     # chunk-sized arrays only, so the peak is the same at both jump counts;
     # a first call does numpy's lazy imports outside the traced calls
-    gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=MIN_JUMPS, seed=3)
+    gillespie_estimate(*equilibrium_channels, n_jumps=MIN_JUMPS, seed=3)
     peaks = []
     for n_jumps in (1_000_000, 4_000_000):
         tracemalloc.start()
         try:
-            gillespie_estimate(equilibrium_rates, SPECTRUM, n_jumps=n_jumps, seed=3)
+            gillespie_estimate(*equilibrium_channels, n_jumps=n_jumps, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qutrit_heat import CircuitParams, SystemConfig, assemble_rate_matrix, derive_spectrum
+from qutrit_heat import CircuitParams, SystemConfig, derive_spectrum
 from qutrit_heat.rates import bose_factors, lorentz_prefactor, thermal_rates
+from qutrit_heat.steady import edge_rates
 
 # Resonant level-pair assignment of each channel.
 RESONANT_PAIR = {"a": (0, 1), "b": (1, 2), "c": (0, 2)}
+# Level pairs of the kernel's transitions (omega10, omega21, omega20).
+TRANSITIONS = ((0, 1), (1, 2), (0, 2))
 
 # mpmath, 50 digits: 1/(e - 1)
 BOSE_1_1 = 0.5819767068693264
@@ -159,7 +162,7 @@ class TestChannelValidation:
 
     def test_shared_bath_requires_shared_temperature(self):
         # a merged bath has one temperature, so its channels share it by construction
-        _, temps = config(merged=("b", "c")).channels({"a": 1.0, "bc": 2.0})
+        _, _, temps = config(merged=("b", "c")).channels({"a": 1.0, "bc": 2.0})
         assert temps.tolist() == [[1.0, 2.0, 2.0]]
 
 
@@ -168,72 +171,58 @@ def spectrum():
     return derive_spectrum(CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2))
 
 
-def pinned_channels(spectrum, q=100.0, lambda_res=1.0, lambda_off=1.0,
-                    temps=(2.0, 1.5, 1.0)):
-    """Kernel inputs of resonators pinned to the transitions of `spectrum`."""
+def pinned_rates(spectrum, q=100.0, lambda_res=1.0, lambda_off=1.0,
+                 temps=(2.0, 1.5, 1.0)):
+    """(up, down) rates (1, channel, transition) of resonators pinned to the
+    transitions of `spectrum`: thermal_rates of the kernel's N = 1 inputs."""
     freqs = (spectrum.omega10, spectrum.omega21, spectrum.omega20)
     cfg = config(q=q, lambda_res=lambda_res, lambda_off=lambda_off,
                  resonators=tuple(zip("abc", freqs)))
-    return cfg.channels(dict(zip("abc", temps)))
+    return thermal_rates(*cfg.channels(dict(zip("abc", temps))))
 
 
 class TestAssembly:
     def test_shape_and_sign_structure(self, spectrum):
-        rm = assemble_rate_matrix(spectrum, pinned_channels(spectrum))
-        for cid, g in rm.per_channel.items():
-            assert g.shape == (3, 3)
-            assert np.all(np.diag(g) == 0.0)
-            assert np.all(g >= 0.0)
-        assert np.allclose(
-            rm.total, sum(rm.per_channel.values()), rtol=0.0, atol=0.0
-        )
-
-    def test_matrices_are_read_only(self, spectrum):
-        rm = assemble_rate_matrix(spectrum, pinned_channels(spectrum))
-        with pytest.raises(ValueError):
-            rm.total[0, 1] = 5.0
+        up, down = pinned_rates(spectrum)
+        for rates in (up, down):
+            assert rates.shape == (1, 3, 3)
+            assert np.all(rates >= 0.0)
+        # the total of each edge is the channel sum a + b + c, exactly
+        total = edge_rates(up, down)
+        for t, (k_up, k_down) in enumerate(zip(total[::2], total[1::2])):
+            assert np.array_equal(k_up, up[:, 0, t] + up[:, 1, t] + up[:, 2, t])
+            assert np.array_equal(k_down, down[:, 0, t] + down[:, 1, t] + down[:, 2, t])
 
     def test_perfect_filtering_sparsity(self, spectrum):
-        rm = assemble_rate_matrix(
-            spectrum, pinned_channels(spectrum, lambda_off=0.0)
-        )
-        for cid, g in rm.per_channel.items():
-            nz = {tuple(idx) for idx in np.argwhere(g > 0.0)}
-            (i, j) = RESONANT_PAIR[cid]
-            assert nz == {(j, i), (i, j)}
+        up, down = pinned_rates(spectrum, lambda_off=0.0)
+        for c, cid in enumerate("abc"):
+            for rates in (up, down):
+                nz = {TRANSITIONS[t] for t in np.flatnonzero(rates[0, c] > 0.0)}
+                assert nz == {RESONANT_PAIR[cid]}
         # the total keeps exactly the three-link cycle, up and down
-        nz_total = {tuple(idx) for idx in np.argwhere(rm.total > 0.0)}
-        assert nz_total == {(1, 0), (0, 1), (2, 1), (1, 2), (2, 0), (0, 2)}
+        assert all(k[0] > 0.0 for k in edge_rates(up, down))
 
     def test_equilibrium_satisfies_global_detailed_balance(self, spectrum):
         t = 1.7
-        rm = assemble_rate_matrix(
-            spectrum, pinned_channels(spectrum, temps=(t, t, t))
-        )
+        k01, k10, k12, k21, k02, k20 = (
+            float(k[0]) for k in edge_rates(*pinned_rates(spectrum, temps=(t, t, t))))
         energies = spectrum.energies
         weights = [math.exp(-e / t) for e in energies]
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    lhs = rm.total[j, i] * weights[i]
-                    rhs = rm.total[i, j] * weights[j]
-                    assert lhs == pytest.approx(rhs, rel=1e-12)
+        for (i, j), k_ij, k_ji in (((0, 1), k01, k10), ((1, 2), k12, k21), ((0, 2), k02, k20)):
+            assert k_ij * weights[i] == pytest.approx(k_ji * weights[j], rel=1e-12)
 
     def test_offresonant_ratio_scales_inverse_q_squared(self, spectrum):
         qs = [1e3, 1e4, 1e5]
         ratios = []
         for q in qs:
-            rm = assemble_rate_matrix(spectrum, pinned_channels(spectrum, q=q))
-            g = rm.per_channel["a"]
+            up, _ = pinned_rates(spectrum, q=q)
             # off-resonant 1->2 versus resonant 0->1 excitation within channel a
-            ratios.append(g[2, 1] / g[1, 0])
+            ratios.append(up[0, 0, 1] / up[0, 0, 0])
         slope = np.polyfit(np.log10(qs), np.log10(ratios), 1)[0]
         assert slope == pytest.approx(-2.0, abs=1e-3)
 
     def test_assembly_deterministic(self, spectrum):
-        chs = pinned_channels(spectrum)
-        r1 = assemble_rate_matrix(spectrum, chs)
-        r2 = assemble_rate_matrix(spectrum, chs)
-        assert np.array_equal(r1.total, r2.total)
-        for cid in "abc":
-            assert np.array_equal(r1.per_channel[cid], r2.per_channel[cid])
+        up1, down1 = pinned_rates(spectrum)
+        up2, down2 = pinned_rates(spectrum)
+        assert np.array_equal(up1, up2)
+        assert np.array_equal(down1, down2)

@@ -9,25 +9,32 @@ import pytest
 
 from qutrit_heat import (
     CircuitParams,
-    RateMatrix,
     ReducibleChain,
     SystemConfig,
-    assemble_rate_matrix,
+    gillespie_estimate,
     ideal_current_amplitude,
-    solve_steady,
+    solve_temperatures,
 )
-from qutrit_heat.rates import bose_factors
-from qutrit_heat.steady import solve_scenarios
+from qutrit_heat.rates import thermal_rates
+from qutrit_heat.steady import edge_rates, solve_scenarios, stationary
 
 CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 SPECTRUM = SystemConfig(circuit=CIRCUIT).spectrum
 
 
-def random_rate_matrix(rng, low_exp=-2.0, high_exp=1.0) -> RateMatrix:
-    """Random strictly positive rates, log-uniform over the given decades."""
+def random_rates(rng, low_exp=-2.0, high_exp=1.0) -> np.ndarray:
+    """Random strictly positive rates [j, i] of the jumps i -> j, log-uniform
+    over the given decades; the diagonal is zero."""
     g = 10.0 ** rng.uniform(low_exp, high_exp, size=(3, 3))
     np.fill_diagonal(g, 0.0)
-    return RateMatrix(per_channel={"a": g}, total=g)
+    return g
+
+
+def stationary_of(g: np.ndarray):
+    """(p, residual, connected) of the one chain with rates g[j, i] of i -> j."""
+    p, residual, connected, _ = stationary(
+        *(np.array([k]) for k in (g[1, 0], g[0, 1], g[2, 1], g[1, 2], g[2, 0], g[0, 2])))
+    return p[0], float(residual[0]), bool(connected[0])
 
 
 def adjugate_null_vector(total: np.ndarray) -> np.ndarray:
@@ -50,24 +57,11 @@ def adjugate_null_vector(total: np.ndarray) -> np.ndarray:
     return col / col.sum()
 
 
-def pinned_channels(temps, q=100.0, lambda_res=1.0, lambda_off=1.0):
-    """Kernel inputs of resonators pinned to the transitions of SPECTRUM."""
+def pinned_config(q=100.0, lambda_res=1.0, lambda_off=1.0) -> SystemConfig:
+    """Resonators pinned to the transitions of SPECTRUM."""
     freqs = (SPECTRUM.omega10, SPECTRUM.omega21, SPECTRUM.omega20)
-    cfg = SystemConfig(circuit=CIRCUIT, q=q, lambda_res=lambda_res, lambda_off=lambda_off,
-                       resonators=tuple(zip("abc", freqs)))
-    return cfg.channels(dict(zip("abc", temps)))
-
-
-def symmetric_ideal_rates(omegas, temps, kappa=1.0) -> RateMatrix:
-    """Perfectly filtered cycle with equal coupling kappa on every link."""
-    per = {}
-    for cid, (i, j), w, t in zip("abc", ((0, 1), (1, 2), (0, 2)), omegas, temps):
-        g = np.zeros((3, 3))
-        n = float(bose_factors(np.float64(w), t))
-        g[j, i] = kappa * n
-        g[i, j] = kappa * (1.0 + n)
-        per[cid] = g
-    return RateMatrix(per_channel=per, total=sum(per.values()))
+    return SystemConfig(circuit=CIRCUIT, q=q, lambda_res=lambda_res, lambda_off=lambda_off,
+                        resonators=tuple(zip("abc", freqs)))
 
 
 def ideal_cycle_currents(omegas, temps, kappa=1.0):
@@ -83,10 +77,8 @@ class TestSolveSteady:
             t = rng.uniform(0.5, 3.0)
             q = rng.uniform(20.0, 2000.0)
             lam_off = rng.uniform(0.0, 2.0)
-            rm = assemble_rate_matrix(
-                SPECTRUM, pinned_channels((t, t, t), q=q, lambda_off=lam_off)
-            )
-            p = solve_steady(rm).p
+            cfg = pinned_config(q=q, lambda_off=lam_off)
+            p = solve_temperatures(cfg, dict.fromkeys("abc", t))[0].p
             w = np.exp(-np.array(SPECTRUM.energies) / t)
             w /= w.sum()
             assert np.abs(p - w).max() <= 1e-10
@@ -94,55 +86,54 @@ class TestSolveSteady:
     def test_matches_adjugate_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            rm = random_rate_matrix(rng)
-            p = solve_steady(rm).p
-            q = adjugate_null_vector(rm.total)
+            g = random_rates(rng)
+            p = stationary_of(g)[0]
+            q = adjugate_null_vector(g)
             assert np.abs(p - q).max() <= 1e-12
 
     def test_invariant_under_rate_rescaling(self):
         rng = np.random.default_rng(5)
-        rm = random_rate_matrix(rng)
-        p1 = solve_steady(rm).p
+        g = random_rates(rng)
+        p1 = stationary_of(g)[0]
         for c in (2.0, 7.3, 1e-6, 1e6):
-            scaled = RateMatrix(per_channel={"a": c * rm.total}, total=c * rm.total)
-            p2 = solve_steady(scaled).p
+            p2 = stationary_of(c * g)[0]
             assert np.abs(p1 - p2).max() <= 1e-13
 
     def test_properties_of_solution(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            st = solve_steady(random_rate_matrix(rng))
-            assert abs(float(st.p.sum()) - 1.0) <= 1e-12
-            assert np.all(st.p >= 0.0) and np.all(st.p <= 1.0)
-            assert st.residual <= 1e-10
+            p, residual, connected = stationary_of(random_rates(rng))
+            assert connected
+            assert abs(float(p.sum()) - 1.0) <= 1e-12
+            assert np.all(p >= 0.0) and np.all(p <= 1.0)
+            assert residual <= 1e-10
 
     def test_reducible_chain_rejected(self):
         # all-zero rates
-        z = np.zeros((3, 3))
-        with pytest.raises(ReducibleChain):
-            solve_steady(RateMatrix(per_channel={"a": z}, total=z))
+        assert not stationary_of(np.zeros((3, 3)))[2]
         # zero temperature everywhere: no excitations, ground state absorbs
-        rm = assemble_rate_matrix(SPECTRUM, pinned_channels((0.0, 0.0, 0.0)))
+        cfg, temps = pinned_config(), dict.fromkeys("abc", 0.0)
+        assert not stationary(*edge_rates(*thermal_rates(*cfg.channels(temps))))[2][0]
         with pytest.raises(ReducibleChain):
-            solve_steady(rm)
+            solve_temperatures(cfg, temps)
+        with pytest.raises(ReducibleChain):
+            gillespie_estimate(*cfg.channels(temps), n_jumps=20_000, seed=0)
         # one state disconnected
         g = np.zeros((3, 3))
         g[1, 0] = g[0, 1] = 1.0
-        with pytest.raises(ReducibleChain):
-            solve_steady(RateMatrix(per_channel={"a": g}, total=g))
+        assert not stationary_of(g)[2]
 
     def test_tight_coupling_flux_identity(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
-            temps = rng.uniform(0.5, 3.0, size=3)
-            rm = assemble_rate_matrix(
-                SPECTRUM, pinned_channels(temps, lambda_off=0.0)
-            )
-            p = solve_steady(rm).p
-            t = rm.total
-            f01 = t[1, 0] * p[0] - t[0, 1] * p[1]
-            f12 = t[2, 1] * p[1] - t[1, 2] * p[2]
-            f20 = t[0, 2] * p[2] - t[2, 0] * p[0]
+            temps = dict(zip("abc", rng.uniform(0.5, 3.0, size=3)))
+            cfg = pinned_config(lambda_off=0.0)
+            p = solve_temperatures(cfg, temps)[0].p
+            k01, k10, k12, k21, k02, k20 = (
+                float(k[0]) for k in edge_rates(*thermal_rates(*cfg.channels(temps))))
+            f01 = k01 * p[0] - k10 * p[1]
+            f12 = k12 * p[1] - k21 * p[2]
+            f20 = k20 * p[2] - k02 * p[0]
             scale = max(abs(f01), abs(f12), abs(f20))
             assert abs(f01 - f12) <= 1e-12 * max(scale, 1e-300)
             assert abs(f12 - f20) <= 1e-12 * max(scale, 1e-300)
@@ -189,10 +180,10 @@ class TestIdealAmplitude:
         # the closed form carries no sign calibration: its sign is that of
         # the net cycle flux of the linear solve
         omegas, temps = (1.0, 0.8, 1.8), (1.0, 0.9, 0.5)
-        rm = symmetric_ideal_rates(omegas, temps)
-        p = solve_steady(rm).p
-        g = rm.per_channel["a"]
-        flux = g[1, 0] * p[0] - g[0, 1] * p[1]
+        # the perfectly filtered cycle with equal coupling 1 on every link
+        up, down = thermal_rates(np.array([omegas]), np.eye(3)[None], np.array([temps]))
+        p = stationary(*edge_rates(up, down))[0][0]
+        flux = up[0, 0, 0] * p[0] - down[0, 0, 0] * p[1]
         a = ideal_current_amplitude(*(w / t for w, t in zip(omegas, temps)))
         assert flux != 0.0 and (flux > 0.0) == (a > 0.0)
 
