@@ -15,7 +15,7 @@ import json
 import sys
 import time
 import warnings
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 from math import inf, pi
 
@@ -192,17 +192,30 @@ def _fmt(value: float, human: bool) -> str:
     return f"{value:.6g}" if human else f"{value:.17g}"
 
 
-def _print_advisories(config: SystemConfig) -> None:
+def _warn_advisories(config: SystemConfig) -> None:
     resonators = {cid: (config.resonator_frequency(cid), config.q) for cid in CHANNEL_IDS}
     for note in filter_width_advisories(config.spectrum, resonators):
-        print(f"advisory: {note}", file=sys.stderr)
+        warnings.warn(note)
+
+
+@contextmanager
+def _advisories():
+    """Record every UserWarning of the block and print each distinct one
+    once, as an advisory line on stderr, when the block ends."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            yield
+        finally:
+            for note in dict.fromkeys(str(warning.message) for warning in caught):
+                print(f"advisory: {note}", file=sys.stderr)
 
 
 def cmd_steady(cfg: dict, human: bool = False) -> int:
     """Solve one point and print populations, currents, regime, residual."""
     config = _system_config(cfg)
     temps = _temperatures(cfg, config)
-    _print_advisories(config)
+    _warn_advisories(config)
     steady, currents = solve_temperatures(config, temps)
     regime = classify_regime(bath_currents(config, currents), temps)
     for i, p in enumerate(steady.p.tolist()):
@@ -290,27 +303,23 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
 
 
 def cmd_sweep(cfg: dict, explicit: set[str]) -> int:
-    """Run a sweep and write its CSV; per-point failures never abort. Each
-    warning of the run is one advisory line on stderr: run_sweep's linewidth
-    advisories of a Q axis, or else the fixed configuration's (none without
-    a spectrum: the sweep flags its rows), and the circuits' notes."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        spec = _sweep_config(cfg, explicit)[1]
-        if cfg["out"] is None:
-            raise ConfigError("out: an output path is required for sweeps")
-        try:  # fail before the sweep, not after it; "a" keeps an old file until the write
-            open(cfg["out"], "a").close()
-        except OSError as exc:
-            raise ConfigError(f"out: cannot write {cfg['out']}: {exc}") from exc
-        if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
-            with suppress(QutritHeatError):
-                _print_advisories(spec.config)
-        t0 = time.perf_counter()
-        result = run_sweep(spec)
-        elapsed = time.perf_counter() - t0
-    for note in dict.fromkeys(str(warning.message) for warning in caught):
-        print(f"advisory: {note}", file=sys.stderr)
+    """Run a sweep and write its CSV; per-point failures never abort. Its
+    advisories are run_sweep's linewidth warnings of a Q axis, or else the
+    fixed configuration's (none without a spectrum: the sweep flags its
+    rows), and the circuits' notes."""
+    spec = _sweep_config(cfg, explicit)[1]
+    if cfg["out"] is None:
+        raise ConfigError("out: an output path is required for sweeps")
+    try:  # fail before the sweep, not after it; "a" keeps an old file until the write
+        open(cfg["out"], "a").close()
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {cfg['out']}: {exc}") from exc
+    if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
+        with suppress(QutritHeatError):
+            _warn_advisories(spec.config)
+    t0 = time.perf_counter()
+    result = run_sweep(spec)
+    elapsed = time.perf_counter() - t0
     write_csv(result, cfg["out"])
     print(f"rows {len(result.rows)}  undefined {result.undefined_count()}  "
           f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {cfg['out']}")
@@ -323,7 +332,7 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
         raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
     config = _system_config(cfg)
     temps = _temperatures(cfg, config)
-    _print_advisories(config)
+    _warn_advisories(config)
     steady, currents = solve_temperatures(config, temps)
     est = gillespie_estimate(*config.channels(temps), n_jumps=cfg["jumps"], seed=cfg["seed"])
 
@@ -335,7 +344,7 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
     print("quantity exact estimate sigma z")
     for name, x, m, s in zip(names, exact, approx, sigmas):
         diff = m - x
-        z = 0.0 if diff == 0.0 else (abs(diff) / s if s > 0.0 else inf)
+        z = 0.0 if diff == 0.0 else (abs(diff) / s if 0.0 < s < inf else inf)
         worst = max(worst, z)
         print(
             f"{name} {_fmt(float(x), human)} {_fmt(float(m), human)} "
@@ -348,24 +357,20 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg, explicit = _load_config(args)
-        cfg = _validate(cfg)
-        if args.dump_config and args.command == "sweep" and (cfg["preset"] or cfg["sweep"]):
-            cfg = _sweep_config(cfg, explicit)[0]
-        if args.dump_config:
-            _system_config(cfg)  # a dump is only of a config that would run
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
-        return 0
-    try:
-        if args.command == "steady":
-            return cmd_steady(cfg, human=args.human)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, explicit)
-        return cmd_verify(cfg, human=args.human)
+        with _advisories():
+            cfg, explicit = _load_config(args)
+            cfg = _validate(cfg)
+            if args.dump_config and args.command == "sweep" and (cfg["preset"] or cfg["sweep"]):
+                cfg = _sweep_config(cfg, explicit)[0]
+            if args.dump_config:
+                _system_config(cfg)  # a dump is only of a config that would run
+                print(json.dumps(cfg, indent=2, sort_keys=True))
+                return 0
+            if args.command == "steady":
+                return cmd_steady(cfg, human=args.human)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, explicit)
+            return cmd_verify(cfg, human=args.human)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

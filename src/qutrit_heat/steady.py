@@ -6,19 +6,19 @@ package's one solve path), the closed-form current amplitude of the
 perfectly filtered limit (cross-check), and a jump-process Monte Carlo
 estimator that takes the solve's inputs at N = 1.
 
-The estimator (Gillespie, J. Phys. Chem. 81, 2340, 1977) reproduces a
-jump-by-jump walk bit for bit without a Python loop per jump. One sorted
-table of all three states' cumulative outcome probabilities names each
-jump's outcome for every state with one interval lookup; a doubling scan of
-the jumps' next-state maps gives the trajectory; and the walk proceeds in
-chunks of CHUNK_JUMPS jumps whose in-order sums each chunk continues, so
-its memory does not grow with the jump count.
+The estimator (Gillespie, J. Phys. Chem. 81, 2340, 1977) walks the jump
+chain in chunks, without a Python loop per jump, and draws no waiting
+times: each jump counts for its conditional mean wait, the inverse exit
+rate of the state it leaves (Rao-Blackwellisation; Casella and Robert,
+Biometrika 83, 81, 1996). An interval lookup names each jump's outcome, a
+prefix scan of next-state maps gives the trajectory, and each batch keeps
+integer jump counts, from which its times and heats follow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log1p
+from math import exp
 
 import numpy as np
 
@@ -211,11 +211,12 @@ def ideal_current_amplitude(
 class StochasticEstimate:
     """Time-averaged populations and per-channel heat currents with errors.
 
-    Standard errors come from 50 batch means over contiguous stretches of
-    the one trajectory that gillespie_estimate walks. Positive currents mean
-    heat flowing out of the bath, matching the deterministic pipeline. Every
-    field is a function of gillespie_estimate's arguments alone, bit for
-    bit.
+    The time averages take each jump's conditional mean wait in place of a
+    sampled one. Standard errors come from 50 batch means over contiguous
+    stretches of the one trajectory that gillespie_estimate walks, floored
+    at one count's resolution. Positive currents mean heat flowing out of
+    the bath, matching the deterministic pipeline. Every field is a function
+    of gillespie_estimate's arguments alone, bit for bit.
     """
 
     p_hat: np.ndarray
@@ -256,34 +257,25 @@ def _compose_table() -> np.ndarray:
     return (digits[np.arange(27)[None, :, None], digits[:, None, :]] @ _DIGIT_WEIGHTS).ravel()
 
 
+def _prefixes(codes: np.ndarray, compose: np.ndarray) -> np.ndarray:
+    """prefix[j], the composition of the maps codes[0] .. codes[j], by exact
+    lookups in compose (_compose_table): the prefixes of the pairs (0, 1),
+    (2, 3), ... are those at odd j, and one lookup each gives the even j
+    (Ladner and Fischer, J. ACM 27, 831, 1980), about 2 L lookups in all."""
+    if len(codes) == 1:
+        return codes
+    odd = _prefixes(compose.take(27 * codes[:-1:2] + codes[1::2]), compose)
+    prefix = codes.copy()
+    prefix[1::2] = odd
+    prefix[2::2] = compose.take(27 * odd[:(len(codes) - 1) // 2] + codes[2::2])
+    return prefix
+
+
 def _scan(start: int, codes: np.ndarray, compose: np.ndarray) -> tuple[np.ndarray, int]:
     """The states before each jump of a chunk, and the state after it, from
-    start and the chunk's next-state map codes: a doubling scan.
-
-    After the pass of step d, prefix[j] is the composition of the maps of
-    jumps max(0, j - 2d + 1) .. j (Hillis and Steele, Commun. ACM 29, 1170,
-    1986), so ceil(log2 L) passes of lookups in compose (_compose_table)
-    give every prefix, exactly: the codes are integers."""
-    prefix = codes.copy()
-    d = 1
-    while d < len(prefix):
-        prefix[d:] = compose.take(27 * prefix[:-d] + prefix[d:])
-        d *= 2
-    after = prefix // 3**start % 3
-    states = np.empty_like(after)
-    states[0] = start
-    states[1:] = after[:-1]
-    return states, int(after[-1])
-
-
-def _continued_sums(partial: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """partial[i] plus the weights at index i, added in order: the running
-    sums of the jump-by-jump walk, continued over one more chunk. bincount
-    adds in index order, and 0.0 + partial[i], its first addition, is
-    exact."""
-    n = len(partial)
-    return np.bincount(np.concatenate((np.arange(n), index)),
-                       np.concatenate((partial, weights)), n)
+    start and the chunk's next-state map codes, by way of their _prefixes."""
+    after = (np.arange(27) // 3**start % 3).take(_prefixes(codes, compose))
+    return np.concatenate(([start], after[:-1])), int(after[-1])
 
 
 def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: np.ndarray,
@@ -291,30 +283,29 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     """Simulate the continuous-time jump process and estimate steady values.
 
     The rates are thermal_rates of solve_scenarios' inputs at N = 1, as
-    SystemConfig.channels gives them. Waiting times are exponential in the
-    total exit rate of the current state; the jump target and the
-    responsible channel are drawn from the individual rates. Each jump
-    through channel l moves energy E_target - E_source out of bath l, the
-    level energies being (0, omega10, omega20). The first n_jumps // 100
-    jumps are discarded as burn-in; the remaining n_jumps are accumulated in
-    occupation-time averages over 50 contiguous batches.
+    SystemConfig.channels gives them; a jump through channel l moves energy
+    E_target - E_source out of bath l, the level energies being (0, omega10,
+    omega20). The first n_jumps // 100 jumps are burn-in; the remaining
+    n_jumps fall in 50 contiguous batches.
 
-    Jump k draws u_wait[k] and u_pick[k], the k-th doubles of two streams of
-    PCG64(seed): the first from its start, the second after n_burn + n_jumps
-    doubles. The target is the first outcome of the state's table whose
-    cumulative probability is at least u_pick[k]; the waiting time is
-    -log1p(-u_wait[k]) / exit rate, with libm's log1p. No loop runs per
-    jump. The walk goes in chunks of at most CHUNK_JUMPS jumps, none
-    spanning the end of the burn-in or of a batch. In a chunk, one
-    searchsorted per jump finds u_pick[k]'s interval among the merged
-    outcome tables (_interval_tables), which names the jump's outcome and
-    next-state map for every state; a doubling scan of those maps (_scan)
-    gives the states the jumps leave; and in-order bincounts add the chunk
-    to its batch's sums, continuing them from their running values
-    (_continued_sums). Memory is therefore bounded by CHUNK_JUMPS, whatever
-    n_jumps is. The result is that of the jump-by-jump walk, bit for bit,
-    and deterministic for a given seed: numpy's log1p is not used, as its
-    SIMD paths, chosen by the CPU, differ in the last bits.
+    No wait is drawn: a jump from state s counts for its mean wait 1/r_s,
+    r_s the exit rate of s (Rao-Blackwellisation: Casella and Robert,
+    Biometrika 83, 81, 1996). A batch's time in s is its visits to s over
+    r_s, and its heat out of bath l is E_1 m_l1 + E_2 m_l2, m_ls its jumps
+    into s through l less those out of s: integer counts, so each result is
+    a function of the arguments alone, bit for bit.
+
+    Jump k leaves s for the first outcome of s's table whose cumulative
+    probability is at least u[k], the k-th double of PCG64(seed) after its
+    first n_burn + n_jumps. In chunks of at most CHUNK_JUMPS jumps, none
+    spanning the end of the burn-in or of a batch, u[k]'s interval among
+    the merged outcome tables (_interval_tables) names the jump's next-state
+    map, a prefix scan of the maps (_scan) gives the states the jumps leave,
+    and a bincount adds the jumps to their batch's counts.
+
+    Each sigma is the spread of the 50 batch means, floored at one count
+    over the total time T: (1/r_s)/T for p_s, and the largest |E_j - E_i|
+    of channel l's jumps over T for j_l.
     """
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
@@ -331,72 +322,65 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     rate[:, (0, 1, 0), (1, 2, 2)] = up[0]
     rate[:, (1, 2, 2), (0, 1, 0)] = down[0]
     # Per state: exit rate and the outcome table (cumulative prob, target,
-    # channel index, energy out of that channel's bath) of its jumps of
-    # positive rate, channel by channel, padded to 7 with an outcome u never
-    # exceeds that stays put and moves no energy. cumsum adds in order.
+    # channel index) of its jumps of positive rate, channel by channel (cumsum
+    # adds in order), padded to 7 with an outcome u never exceeds that stays put.
     cum = np.full((3, 7), np.inf)
     target = np.repeat(np.arange(3)[:, None], 7, axis=1)
     channel = np.zeros((3, 7), dtype=np.intp)
-    energy = np.zeros((3, 7))
     exit_rate = np.zeros(3)
     for i in range(3):
         ci, j = np.nonzero(rate[:, i] > 0.0)
         acc = np.cumsum(rate[ci, i, j])
         exit_rate[i] = acc[-1]
         cum[i, :len(j)], target[i, :len(j)], channel[i, :len(j)] = acc / acc[-1], j, ci
-        energy[i, :len(j)] = energies[j] - energies[i]
 
     breaks, code, outcome = _interval_tables(cum, target)
     compose = _compose_table()
-    # channel and energy of a jump, at 3 * interval + the state it leaves
-    channel = channel[np.arange(3), outcome].ravel()
-    energy = energy[np.arange(3), outcome].ravel()
+    # flow[k, i, l, s]: 1 if the jump of interval k from state i goes into s
+    # through channel l, -1 if it leaves s through l, else 0 (so 0 for a
+    # padded outcome)
+    k, i = np.indices(outcome.shape)
+    level = np.eye(3, dtype=np.int64)
+    flow = np.zeros(outcome.shape + (3, 3), dtype=np.int64)
+    flow[k, i, channel[i, outcome]] = level[target[i, outcome]] - level[i]
+    largest_step = np.where(rate > 0.0, abs(energies - energies[:, None]), 0.0).max(axis=(1, 2))
 
     n_burn = n_jumps // 100
-    waits = np.random.Generator(np.random.PCG64(seed).advance(n_burn))
     picks = np.random.Generator(np.random.PCG64(seed).advance(n_burn + n_jumps))
 
-    def chunk(state: int, size: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """The next size jumps from state: the states they leave, their
-        table index 3 * interval + state, and the state after them."""
-        interval = breaks.searchsorted(picks.random(size))
+    def chunk(state: int, size: int) -> tuple[np.ndarray, int]:
+        """The next size jumps from state: their kind 3 * interval + the
+        state they leave, and the state after them."""
+        u = picks.random(size)
+        interval = np.zeros(size, dtype=np.intp)
+        for b in breaks:  # breaks.searchsorted(u), without its mispredicted branches
+            interval += u > b
         states, state = _scan(state, code[interval], compose)
-        return states, 3 * interval + states, state
+        return 3 * interval + states, state
 
     state = 0
     for start in range(0, n_burn, CHUNK_JUMPS):
-        state = chunk(state, min(CHUNK_JUMPS, n_burn - start))[2]
-    occ = np.zeros((_BATCHES, 3))
-    heat = np.zeros((_BATCHES, 3))
-    time_in_batch = np.zeros(_BATCHES)
+        state = chunk(state, min(CHUNK_JUMPS, n_burn - start))[1]
+    counts = np.zeros((_BATCHES, 3 * len(outcome)), dtype=np.int64)
     # jump k after the burn-in falls in batch k * _BATCHES // n_jumps
     ends = [-(-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]
     for b in range(_BATCHES):
         for start in range(ends[b], ends[b + 1], CHUNK_JUMPS):
-            size = min(CHUNK_JUMPS, ends[b + 1] - start)
-            states, jump, state = chunk(state, size)
-            dt = -np.fromiter(map(log1p, memoryview(-waits.random(size))), float, size)
-            dt /= exit_rate[states]
-            time_in_batch[b:b + 1] = _continued_sums(
-                time_in_batch[b:b + 1], np.zeros(size, dtype=np.intp), dt)
-            occ[b] = _continued_sums(occ[b], states, dt)
-            heat[b] = _continued_sums(heat[b], channel[jump], energy[jump])
+            jump, state = chunk(state, min(CHUNK_JUMPS, ends[b + 1] - start))
+            counts[b] += np.bincount(jump, minlength=counts.shape[1])
 
+    occ = counts.reshape(_BATCHES, -1, 3).sum(axis=1) / exit_rate
+    net = (counts @ flow.reshape(-1, 9)).reshape(_BATCHES, 3, 3)
+    heat = net[:, :, 1] * energies[1] + net[:, :, 2] * energies[2]
+    time_in_batch = occ[:, 0] + occ[:, 1] + occ[:, 2]
     t_total = time_in_batch.sum()
     p_hat = occ.sum(axis=0) / t_total
     j_hat = heat.sum(axis=0) / t_total
     p_b = occ / time_in_batch[:, None]
     j_b = heat / time_in_batch[:, None]
-    sigma_p = p_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
+    sigma_p = np.maximum(p_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES), 1.0 / exit_rate / t_total)
     with np.errstate(over="ignore"):  # batch currents beyond ~1e154: sigma is inf
-        sigma_j = j_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES)
+        sigma_j = np.maximum(j_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES), largest_step / t_total)
     for arr in (p_hat, sigma_p, j_hat, sigma_j):
         arr.setflags(write=False)
-    return StochasticEstimate(
-        p_hat=p_hat,
-        sigma_p=sigma_p,
-        j_hat=j_hat,
-        sigma_j=sigma_j,
-        n_jumps=n_jumps,
-        seed=seed,
-    )
+    return StochasticEstimate(p_hat, sigma_p, j_hat, sigma_j, n_jumps, seed)

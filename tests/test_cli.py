@@ -426,6 +426,27 @@ class TestVerify:
         code2, out2, _ = run_cli(capsys, *args)
         assert (code1, out1) == (code2, out2)
 
+    def test_unvisited_state_gives_finite_z(self, capsys):
+        # the chain all but alternates 0 <-> 1 and never visits 2, so every
+        # batch spread is 0 or a few ulps; sigma is at least one count's worth
+        code, out, _ = run_cli(capsys, "verify", "--ta", "0.3", "--tb", "0.3", "--tc", "0.3",
+                               "--jumps", "1000000", "--seed", "11")
+        rows = [line.split() for line in out.splitlines()[1:-1]]
+        assert code == 0 and len(rows) == 6
+        assert all(float(sigma) > 0.0 and math.isfinite(float(z)) for *_, sigma, z in rows)
+
+
+@pytest.mark.parametrize("command", ["steady", "verify"])
+def test_circuit_note_is_an_advisory_line(command):
+    # the e_j/e_c < 5 note of CircuitParams, as sweep prints it, not a raw UserWarning
+    argv = [sys.executable, "-m", "qutrit_heat.cli", command, "--ej", "3", "--ec", "1",
+            "--jumps", "10000"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("advisory: e_j/e_c = 3.00"), proc.stderr
+    assert "UserWarning" not in proc.stderr
+
 
 README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",
                 "--ta", "3.5", "--tb", "1.5", "--tc", "2.0")
@@ -441,42 +462,42 @@ README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",
      "j_c -0.00164361\nregime R_b\nresidual 9.54098e-18\n"),
     (("verify", "--ta", "3.0", "--tb", "1.5", "--tc", "2.0", "--jumps", "20000", "--seed", "11"),
      "quantity exact estimate sigma z\n"
-     "p0 0.82149277418120692 0.81762696907757015 0.0021218546921276194 1.82\n"
-     "p1 0.16946862315380745 0.17359419570587439 0.0020527478617777708 2.01\n"
-     "p2 0.0090386026649857034 0.0087788352165554355 0.00036177106701673351 0.72\n"
-     "j_a 0.00047930756011228782 0.00072364427665168568 0.00028770526249559554 0.85\n"
-     "j_b -0.00010586385678108457 1.0283312184791e-06 0.00023433492379011929 0.46\n"
-     "j_c -0.00037344370333118214 -0.00072467260787016478 0.00048853686524514346 0.72\n"
-     "max_z 2.01\n"),
+     "p0 0.82149277418120692 0.82127272069222612 0.00040173367255862135 0.55\n"
+     "p1 0.16946862315380745 0.16956620194192137 0.00040183282974135567 0.24\n"
+     "p2 0.0090386026649857034 0.0091610773658529748 0.00024356340864183405 0.50\n"
+     "j_a 0.00047930756011228782 0.00071227182233778359 0.00028046435094344663 0.83\n"
+     "j_b -0.00010586385678108457 1.0121704469798515e-06 0.00022841122513904161 0.47\n"
+     "j_c -0.00037344370333118214 -0.00071328399278476346 0.00047488741592951263 0.72\n"
+     "max_z 0.83\n"),
     (("verify", "--merge", "b,c", "--ta", "1.3", "--tb", "1.1", "--tc", "1.1",
       "--jumps", "20000", "--seed", "5"),
      "quantity exact estimate sigma z\n"
-     "p0 0.97408965948179183 0.97426801677518937 0.00025335060223252416 0.70\n"
-     "p1 0.025576452203074772 0.025414249377273251 0.00024707315647249853 0.66\n"
-     "p2 0.00033388831513343943 0.00031773384753750838 2.4476849821051001e-05 0.66\n"
-     "j_a 8.8132749016261235e-05 6.4003452430932511e-05 2.0255973011513732e-05 1.19\n"
-     "j_b 4.0607364744994359e-05 3.2634949121282401e-05 1.8129053453471134e-05 0.44\n"
-     "j_c -0.00012874011376125795 -9.5521669873943529e-05 3.2588819568637254e-05 1.02\n"
-     "max_z 1.19\n"),
+     "p0 0.97408965948179183 0.97410861420487138 9.8743904126190703e-05 0.19\n"
+     "p1 0.025576452203074772 0.025568205041655124 3.2995447415503536e-05 0.25\n"
+     "p2 0.00033388831513343943 0.00032318075347339317 2.0153582736409977e-05 0.53\n"
+     "j_a 8.8132749016261235e-05 6.4422079894587976e-05 2.0619746110914815e-05 1.15\n"
+     "j_b 4.0607364744994359e-05 3.284840457498485e-05 1.8490631795129957e-05 0.42\n"
+     "j_c -0.00012874011376125795 -9.614644858297671e-05 3.3394208677927652e-05 0.98\n"
+     "max_z 1.15\n"),
     (("verify", "--ta", "3.0", "--tb", "1.5", "--tc", "2.0", "--jumps", "1000000", "--seed", "11"),
      "quantity exact estimate sigma z\n"
-     "p0 0.82149277418120692 0.82134717757263342 0.0003167327121197144 0.46\n"
-     "p1 0.16946862315380745 0.16956792466500012 0.00030771772982568512 0.32\n"
-     "p2 0.0090386026649857034 0.0090848977623667823 5.774568454402203e-05 0.80\n"
-     "j_a 0.00047930756011228782 0.00046707008486334464 3.7046038323473054e-05 0.33\n"
-     "j_b -0.00010586385678108457 -0.00011684919379796153 2.9680884155054475e-05 0.37\n"
-     "j_c -0.00037344370333118214 -0.00035000618100154295 6.3853858329749114e-05 0.37\n"
-     "max_z 0.80\n"),
+     "p0 0.82149277418120692 0.82149550553482797 4.8050806302337332e-05 0.06\n"
+     "p1 0.16946862315380745 0.16943307316286602 5.4646682337828307e-05 0.65\n"
+     "p2 0.0090386026649857034 0.0090714213023058085 3.6043746739969427e-05 0.91\n"
+     "j_a 0.00047930756011228782 0.00046770452501644898 3.701926280271187e-05 0.31\n"
+     "j_b -0.00010586385678108457 -0.00011700791477540327 2.9651044224457329e-05 0.38\n"
+     "j_c -0.00037344370333118214 -0.00035048160852785764 6.3813867744763557e-05 0.36\n"
+     "max_z 0.91\n"),
     (("verify", "--merge", "b,c", "--tb", "2", "--tc", "2", "--q", "20", "--lambda-off", "0.3",
       "--jumps", "50000", "--seed", "11"),
      "quantity exact estimate sigma z\n"
-     "p0 0.97593351774646597 0.97617879237829797 0.00029374473205865553 0.83\n"
-     "p1 0.016642501747155529 0.016403012869164024 0.00025366597394109534 0.94\n"
-     "p2 0.0074239805063785564 0.0074181947525376697 7.9835525352555265e-05 0.07\n"
-     "j_a -0.018278498615645546 -0.017964707074454789 0.0002859717179884547 1.10\n"
-     "j_b -0.0071363637325306409 -0.0074594862718592152 0.00024359321255951264 1.33\n"
-     "j_c 0.025414862348176189 0.025417944560840663 0.00043196699212529429 0.01\n"
-     "max_z 1.33\n"),
+     "p0 0.97593351774646597 0.97599121142553147 8.9031854127590468e-05 0.65\n"
+     "p1 0.016642501747155529 0.016584672110170756 9.9099790342889896e-05 0.58\n"
+     "p2 0.0074239805063785564 0.007424116464297777 3.9051473250883654e-05 0.00\n"
+     "j_a -0.018278498615645546 -0.018014904064085707 0.00022959274205223374 1.15\n"
+     "j_b -0.0071363637325306409 -0.0074803295705274846 0.00023912908915154995 1.44\n"
+     "j_c 0.025414862348176189 0.025488967388781692 0.00037371809733944319 0.20\n"
+     "max_z 1.44\n"),
 ])
 def test_stdout_is_pinned(capsys, argv, stdout):
     # full-precision output of the README steady and verify points and three

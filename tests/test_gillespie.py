@@ -1,7 +1,7 @@
 """Jump-process estimator tests: determinism, equilibrium, solver agreement,
 bit-for-bit agreement with a jump-by-jump reference walk and across chunk
-sizes, its interval lookup and doubling scan against brute force, and
-memory."""
+sizes, its interval lookup and prefix scan against brute force, memory,
+and the calibration of its z-scores."""
 
 from __future__ import annotations
 
@@ -109,7 +109,10 @@ def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
     """The jump-by-jump walk gillespie_estimate must reproduce bit for bit:
     (p_hat, sigma_p, j_hat, sigma_j), one Python iteration per jump. Its
     rates are thermal_rates of the same inputs; outcomes are listed channel
-    by channel (a, b, c), then by target state."""
+    by channel (a, b, c), then by target state. Each jump waits its mean
+    time, 1 / exit rate, so a batch's time in a state is its visits there
+    over the state's exit rate; its heat out of bath l is omega10 m_l1 +
+    omega20 m_l2, m_ls its jumps into s through l less those out of s."""
     batches = 50
     up, down = thermal_rates(freqs, prefactors, temperatures)
     energies = (0.0, float(freqs[0, 0]), float(freqs[0, 2]))
@@ -118,6 +121,7 @@ def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
         for ci in range(3):
             rate[ci, lo, hi], rate[ci, hi, lo] = float(up[0, ci, t]), float(down[0, ci, t])
     exit_rate = [0.0, 0.0, 0.0]
+    largest_step = [0.0, 0.0, 0.0]  # per channel, the largest |energy| of its jumps
     outcomes = [[], [], []]
     for i in range(3):
         acc = 0.0
@@ -126,44 +130,49 @@ def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
             for j in range(3):
                 if j != i and rate[ci, i, j] > 0.0:
                     acc += rate[ci, i, j]
-                    table.append((acc, j, ci, energies[j] - energies[i]))
+                    table.append((acc, j, ci))
+                    largest_step[ci] = max(largest_step[ci], abs(energies[j] - energies[i]))
         exit_rate[i] = acc
-        outcomes[i] = [(c / acc, j, ci, de) for (c, j, ci, de) in table]
+        outcomes[i] = [(c / acc, j, ci) for (c, j, ci) in table]
 
     n_burn = n_jumps // 100
     total_jumps = n_burn + n_jumps
     rng = np.random.Generator(np.random.PCG64(seed))
-    u_wait = rng.random(total_jumps).tolist()
+    rng.random(total_jumps)  # the picks are the second block of doubles
     u_pick = rng.random(total_jumps).tolist()
 
-    occ = np.zeros((batches, 3))
-    heat = np.zeros((batches, 3))
-    time_in_batch = np.zeros(batches)
+    visits = np.zeros((batches, 3), dtype=np.int64)
+    net = np.zeros((batches, 3, 3), dtype=np.int64)  # (batch, channel, level)
 
     state = 0
     for k in range(total_jumps):
-        dt = -math.log1p(-u_wait[k]) / exit_rate[state]
         u = u_pick[k]
         target = state
         ci = 0
-        de = 0.0
-        for cum, j, c, d in outcomes[state]:
+        for cum, j, c in outcomes[state]:
             if u <= cum:
-                target, ci, de = j, c, d
+                target, ci = j, c
                 break
         if k >= n_burn:
             b = (k - n_burn) * batches // n_jumps
-            time_in_batch[b] += dt
-            occ[b, state] += dt
-            heat[b, ci] += de
+            visits[b, state] += 1
+            net[b, ci, target] += 1
+            net[b, ci, state] -= 1
         state = target
 
+    occ = visits / np.array(exit_rate)
+    heat = net[:, :, 1] * energies[1] + net[:, :, 2] * energies[2]
+    time_in_batch = occ[:, 0] + occ[:, 1] + occ[:, 2]
     t_total = time_in_batch.sum()
     p_b = occ / time_in_batch[:, None]
     j_b = heat / time_in_batch[:, None]
     with np.errstate(over="ignore"):
-        return (occ.sum(axis=0) / t_total, p_b.std(axis=0, ddof=1) / np.sqrt(batches),
-                heat.sum(axis=0) / t_total, j_b.std(axis=0, ddof=1) / np.sqrt(batches))
+        return (occ.sum(axis=0) / t_total,
+                np.maximum(p_b.std(axis=0, ddof=1) / np.sqrt(batches),
+                           1.0 / np.array(exit_rate) / t_total),
+                heat.sum(axis=0) / t_total,
+                np.maximum(j_b.std(axis=0, ddof=1) / np.sqrt(batches),
+                           np.array(largest_step) / t_total))
 
 
 TEMPERATURE = st.sampled_from([0.3, 4.0]) | st.floats(0.3, 4.0)
@@ -275,3 +284,20 @@ def test_estimate_memory_does_not_grow_with_the_jump_count(equilibrium_channels)
             tracemalloc.stop()
     assert max(peaks) < 16 * 2**20
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
+def test_z_scores_are_calibrated():
+    # 200 seeds at the README steady point: each quantity's signed z =
+    # (estimate - exact) / sigma should be about standard normal
+    config = SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=1.5708), q=100.0)
+    temps = {"a": 3.5, "b": 1.5, "c": 2.0}
+    solved, j = solve_temperatures(config, temps)
+    exact = np.append(solved.p, (j.j_a, j.j_b, j.j_c))
+    channels = config.channels(temps)
+    z = []
+    for seed in range(200):
+        est = gillespie_estimate(*channels, n_jumps=20_000, seed=seed)
+        z.append((np.append(est.p_hat, est.j_hat) - exact) / np.append(est.sigma_p, est.sigma_j))
+    z = np.array(z)
+    assert np.all(np.abs(z.mean(axis=0)) <= 0.3), z.mean(axis=0)
+    assert np.all((z.std(axis=0) >= 0.75) & (z.std(axis=0) <= 1.3)), z.std(axis=0)
