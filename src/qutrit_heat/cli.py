@@ -19,8 +19,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import fields, replace
 from math import inf, pi
 
-import numpy as np
-
 from .circuit import CircuitParams, filter_width_advisories
 from .errors import (
     AmbiguousExtremum,
@@ -375,7 +373,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ReducibleChain, AmbiguousExtremum, NonPositiveFrequency, ValueError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
+            ArithmeticError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except QutritHeatError as exc:

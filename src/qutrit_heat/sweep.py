@@ -8,8 +8,9 @@ row-major order of the grid regardless of how many workers evaluate it.
 
 No metric is defined here: the scenarios and formulas of R_ll', R2 and C
 are transport.metric_scenarios and transport.metric_values, and the regime
-labels transport.regimes. This module builds the scenario table of a block
-of grid points, solves it in one kernel call and assembles the rows.
+labels transport.regimes. Each block of grid points is one kernel call on
+every valid point (one whose spectrum derives) at each distinct scenario
+template: valid points x templates scenarios.
 """
 
 from __future__ import annotations
@@ -169,32 +170,25 @@ BLOCK_POINTS = 256
 
 
 def _templates(spec: SweepSpec):
-    """Distinct channel-temperature templates of the scenarios a grid point
-    needs, the base scenario's index, and per metric defined on the config
-    the indices of its transport.metric_scenarios. A template gives channel
-    a, b and c each "base", "hot", "mean" or a fixed temperature."""
+    """Distinct channel-temperature templates of a grid point's scenarios,
+    the base scenario first (the sweep's one repeat rule), and per metric
+    defined on the config the indices of its transport.metric_scenarios. A
+    template gives channel a, b and c "base", "hot", "mean" or a number."""
     cfg, scen = spec.config, spec.scenario
     passive = spec.passive if isinstance(spec.passive, str) else float(spec.passive)
-    templates: list[tuple] = []
-
-    def index(t: tuple) -> int:
-        if t not in templates:
-            templates.append(t)
-        return templates.index(t)
-
-    base = index(tuple(scen.source(cfg.bath_of(c)) for c in CHANNEL_IDS))
+    templates = [tuple(scen.source(cfg.bath_of(c)) for c in CHANNEL_IDS)]
     metrics = {}
     for name in spec.metric_columns:
         with suppress(ValueError):  # not defined on cfg: every row is flagged
-            metrics[name] = [index(t) for t in metric_scenarios(name, passive, cfg.merged)]
-    return templates, base, metrics
+            scenarios = metric_scenarios(name, passive, cfg.merged)
+            templates += [t for t in scenarios if t not in templates]
+            metrics[name] = [templates.index(t) for t in scenarios]
+    return templates, metrics
 
 
-def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: dict) -> list[tuple]:
-    """Rows of a block of grid points from one kernel call on a table of
-    each point's distinct channel-temperature triples (exact repeats within
-    a point are solved once). spectra caches the kernel frequencies (or the
-    error name) per flux value across the blocks of a chunk."""
+def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tuple]:
+    """Rows of a block of grid points, from one kernel call on the table of
+    (valid point, template) scenarios; each flux value's spectrum once."""
     n, cfg, scen = len(points), spec.config, spec.scenario
     values = [[p[i] for p in points] for i in range(len(spec.axes))]
     axis = {ax.name: v for ax, v in zip(spec.axes, values)}
@@ -204,46 +198,42 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
         np.array(axis.get(key, [default] * n), dtype=float)
         for key, default in (("base_temperature", scen.base), ("hot_temperature", scen.hot_temperature),
                              ("quality_factor", cfg.q), ("lambda_off", cfg.lambda_off)))
-    fluxes = axis.get("flux", [None])
-    distinct = {phi: k for k, phi in enumerate(dict.fromkeys(fluxes))}
+    distinct = {}  # flux value -> its position, then its (frequencies, error name)
+    index = [distinct.setdefault(phi, len(distinct)) for phi in axis.get("flux", [None] * n)]
     for phi in distinct:
-        if phi not in spectra:
-            try:
-                point_cfg = cfg if phi is None else replace(
-                    cfg, circuit=CircuitParams(e_j=cfg.circuit.e_j, e_c=cfg.circuit.e_c, phi=phi),
-                    resonators=() if spec.repin_resonators else cfg.resonators)
-                spectra[phi] = point_cfg.kernel_frequencies()
-            except (QutritHeatError, ValueError, ArithmeticError) as exc:
-                spectra[phi] = type(exc).__name__
-    looked = [spectra[phi] for phi in distinct]
-    index = [distinct[phi] for phi in fluxes] if "flux" in axis else [0] * n
-    freqs, omega_l = np.array([np.ones((2, 3)) if isinstance(s, str) else s for s in looked])[
-        index].transpose(1, 0, 2)
-    error = np.array([s if isinstance(s, str) else "" for s in looked], dtype=object)[index]
+        try:
+            point_cfg = cfg if phi is None else replace(
+                cfg, circuit=CircuitParams(e_j=cfg.circuit.e_j, e_c=cfg.circuit.e_c, phi=phi),
+                resonators=() if spec.repin_resonators else cfg.resonators)
+            distinct[phi] = point_cfg.kernel_frequencies(), ""
+        except (QutritHeatError, ValueError, ArithmeticError) as exc:
+            distinct[phi] = np.ones((2, 3)), type(exc).__name__
+    frequencies, error = zip(*distinct.values())
+    freqs, omega_l = np.array(frequencies)[index].transpose(1, 0, 2)
+    error = np.array(error, dtype=object)[index]
 
-    templates, base_slot, metric_slots = _templates(spec)
+    templates, metric_slots = _templates(spec)
     sources = {"base": base, "hot": hot, "mean": 0.5 * (base + hot)}
     temps = np.stack([np.stack([sources[s] if isinstance(s, str) else np.full(n, s) for s in t],
                                axis=1) for t in templates], axis=1)  # (point, slot, channel)
-    first = (temps[:, :, None, :] == temps[:, None, :, :]).all(axis=3).argmax(axis=2)
-    keep = (first == np.arange(len(templates))) & (error == "")[:, None]
+    valid = np.flatnonzero(error == "")
     blank = (None,) * (6 + len(spec.metric_columns))
-    if not keep.any():
+    if not valid.size:
         return [point + blank + (None, None, f"error:{e}") for point, e in zip(points, error)]
-    table = np.zeros(keep.shape, dtype=int)
-    table[keep] = np.arange(int(keep.sum()))
-    table = np.take_along_axis(table, first, axis=1)  # (point, slot) -> scenario
-    point, slot = np.nonzero(keep)
+    point = np.repeat(valid, len(templates))
+    table = np.zeros((n, len(templates)), dtype=int)  # (point, slot) -> scenario
+    table[valid] = np.arange(point.size).reshape(valid.size, -1)
     pref = channel_prefactors(freqs, omega_l, q[:, None], cfg.lambda_res, lambda_off[:, None])
-    p, residual, connected, j, scale = solve_scenarios(freqs[point], pref[point], temps[point, slot])
+    p, residual, connected, j, scale = solve_scenarios(freqs[point], pref[point],
+                                                       temps[valid].reshape(-1, 3))
     failure = failure_codes(residual, connected, j, scale)
 
-    rows = table[:, base_slot]
+    rows = table[:, 0]
     error = np.where(error == "", np.array(FAILURE_KINDS, dtype=object)[failure[rows]], error)
     ok = error == ""
     baths = cfg.bath_ids()
     members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
-    bath_t = temps[:, base_slot, [CHANNEL_IDS.index(m[0]) for m in members]]
+    bath_t = temps[:, 0, [CHANNEL_IDS.index(m[0]) for m in members]]
     bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
     regime = np.full(n, None, dtype=object)
     regime[ok] = regimes(baths, bath_t[ok], bath_j[ok])[0]
@@ -273,9 +263,9 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]], spectra: d
 
 
 def _evaluate_chunk(spec: SweepSpec, start: int, stop: int) -> list[tuple]:
-    grid, spectra = spec.grid(), {}
+    grid = spec.grid()
     return [row for b in range(start, stop, BLOCK_POINTS)
-            for row in _evaluate_block(spec, grid[b:min(b + BLOCK_POINTS, stop)], spectra)]
+            for row in _evaluate_block(spec, grid[b:min(b + BLOCK_POINTS, stop)])]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:

@@ -346,9 +346,9 @@ def rectification_2t(
     backward: the merged bath is hot. The merged bath's current is the sum
     over its two channels.
     """
-    pair = tuple(sorted(merged))
-    if single in pair or not set(pair) <= set(CHANNEL_IDS) or len(set(pair)) != 2:
+    if sorted((*merged, single)) != sorted(CHANNEL_IDS):
         raise ValueError(f"invalid merge {merged!r} against single {single!r}")
+    pair = tuple(sorted(merged))
     return _coefficient(replace(config, merged=pair), f"R2_{pair[0]}{pair[1]}_{single}", base, hot)
 
 

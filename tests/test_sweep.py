@@ -30,7 +30,8 @@ from qutrit_heat import (
     solve_temperatures,
     write_csv,
 )
-from qutrit_heat.steady import FAILURE_KINDS
+from qutrit_heat import sweep
+from qutrit_heat.steady import FAILURE_KINDS, solve_scenarios
 from qutrit_heat.sweep import AXIS_NAMES, METRIC_COLUMNS
 
 QUARTER_FLUX = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
@@ -188,6 +189,38 @@ class TestRunSweep:
             assert got["flags"] == "error:ValueError:R_ab;error:ValueError:C"
             assert got["R_ab"] is None and got["C"] is None
             assert got["R2_bc_a"] == rectification_2t(config(), ("b", "c"), "a", 0.9, hot)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Scenario rows of each solve_scenarios call the sweep makes."""
+    calls = []
+
+    def counting(freqs, *args):
+        calls.append(len(freqs))
+        return solve_scenarios(freqs, *args)
+
+    monkeypatch.setattr(sweep, "solve_scenarios", counting)
+    return calls
+
+
+class TestSolveCount:
+    def test_every_point_solves_each_distinct_template(self, solved):
+        # R_ab, R_ac and R_bc need the three single-hot templates, also on the
+        # base == hot diagonal, where they are equal as numbers
+        axes = (SweepAxis("base_temperature", 0.5, 2.0, 4),
+                SweepAxis("hot_temperature", 0.5, 2.0, 4))
+        run_sweep(spec(axes, metrics=("R_ab", "R_ac", "R_bc")))
+        assert sum(solved) == 16 * 3
+
+    @pytest.mark.parametrize("block_points", [2, 256])
+    def test_invalid_flux_points_are_never_solved(self, solved, monkeypatch, block_points):
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", block_points)
+        s = spec((SweepAxis("flux", 4.0, 5.0, 5),), metrics=("C",))  # edge at 3*pi/2
+        res = run_sweep(s)
+        invalid = sum(r[-1] == "error:InvalidFlux" for r in res.rows)
+        assert 0 < invalid < 5
+        assert sum(solved) == (5 - invalid) * 3
 
 
 class TestFluxSweep:

@@ -205,6 +205,9 @@ class TestRectification2T:
             rectification_2t(config(), ("b", "b"), "a", base=0.5, hot=1.0)
         with pytest.raises(ValueError):
             rectification_2t(config(), ("b", "c"), "b", base=0.5, hot=1.0)
+        for single in ("bc", "ab", "a ", "x"):  # not the remaining channel "a"
+            with pytest.raises(ValueError, match="invalid merge"):
+                rectification_2t(config(), ("b", "c"), single, base=0.5, hot=4.0)
 
 
 class TestCirculation:
