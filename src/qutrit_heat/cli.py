@@ -181,11 +181,6 @@ def _system_config(cfg: dict) -> SystemConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _temperatures(cfg: dict, config: SystemConfig) -> dict[str, float]:
-    """Per-bath temperatures of the point that ta, tb and tc set."""
-    return {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
-
-
 def _fmt(value: float, human: bool) -> str:
     return f"{value:.6g}" if human else f"{value:.17g}"
 
@@ -209,11 +204,9 @@ def _advisories():
                 print(f"advisory: {note}", file=sys.stderr)
 
 
-def cmd_steady(cfg: dict, human: bool = False) -> int:
-    """Solve one point and print populations, currents, regime, residual."""
-    config = _system_config(cfg)
-    temps = _temperatures(cfg, config)
-    _warn_advisories(config)
+def cmd_steady(config: SystemConfig, temps: dict[str, float], human: bool = False) -> int:
+    """Solve one point at per-bath temperatures and print populations,
+    currents, regime, residual."""
     steady, currents = solve_temperatures(config, temps)
     regime = classify_regime(bath_currents(config, currents), temps)
     for i, p in enumerate(steady.p.tolist()):
@@ -300,39 +293,35 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
         raise ConfigError(f"sweep: {exc}") from exc
 
 
-def cmd_sweep(cfg: dict, explicit: set[str]) -> int:
-    """Run a sweep and write its CSV; per-point failures never abort. Its
-    advisories are run_sweep's linewidth warnings of a Q axis, or else the
-    fixed configuration's (none without a spectrum: the sweep flags its
-    rows), and the circuits' notes."""
-    spec = _sweep_config(cfg, explicit)[1]
-    if cfg["out"] is None:
+def cmd_sweep(spec: SweepSpec, out: str | None) -> int:
+    """Check the output path, run the sweep and write its CSV to it;
+    per-point failures never abort. Its advisories are run_sweep's linewidth
+    warnings of a Q axis, or else the fixed configuration's (none without a
+    spectrum: the sweep flags its rows), and the circuits' notes."""
+    if out is None:
         raise ConfigError("out: an output path is required for sweeps")
     try:  # fail before the sweep, not after it; "a" keeps an old file until the write
-        open(cfg["out"], "a").close()
+        open(out, "a").close()
     except OSError as exc:
-        raise ConfigError(f"out: cannot write {cfg['out']}: {exc}") from exc
+        raise ConfigError(f"out: cannot write {out}: {exc}") from exc
     if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
         with suppress(QutritHeatError):
             _warn_advisories(spec.config)
     t0 = time.perf_counter()
     result = run_sweep(spec)
     elapsed = time.perf_counter() - t0
-    write_csv(result, cfg["out"])
+    write_csv(result, out)
     print(f"rows {len(result.rows)}  undefined {result.undefined_count()}  "
-          f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {cfg['out']}")
+          f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {out}")
     return 0
 
 
-def cmd_verify(cfg: dict, human: bool = False) -> int:
-    """Compare the linear solve with the jump-process estimate, print z-scores."""
-    if cfg["jumps"] < MIN_JUMPS:
-        raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
-    config = _system_config(cfg)
-    temps = _temperatures(cfg, config)
-    _warn_advisories(config)
+def cmd_verify(config: SystemConfig, temps: dict[str, float], jumps: int, seed: int,
+               human: bool = False) -> int:
+    """Compare the linear solve at per-bath temperatures with the
+    jump-process estimate of `jumps` jumps, print z-scores."""
     steady, currents = solve_temperatures(config, temps)
-    est = gillespie_estimate(*config.channels(temps), n_jumps=cfg["jumps"], seed=cfg["seed"])
+    est = gillespie_estimate(*config.channels(temps), n_jumps=jumps, seed=seed)
 
     names = ["p0", "p1", "p2", "j_a", "j_b", "j_c"]
     exact = list(steady.p) + [currents.j_a, currents.j_b, currents.j_c]
@@ -353,22 +342,28 @@ def cmd_verify(cfg: dict, human: bool = False) -> int:
 
 
 def main(argv=None) -> int:
+    """Resolve the command's configuration once, with every check its run
+    makes but those of --out, then dump it or run the command on it."""
     args = _parser().parse_args(argv)
     try:
         with _advisories():
             cfg, explicit = _load_config(args)
-            cfg = _validate(cfg)
-            if args.dump_config and args.command == "sweep" and (cfg["preset"] or cfg["sweep"]):
-                cfg = _sweep_config(cfg, explicit)[0]
+            cfg, spec = _validate(cfg), None
+            if args.command == "sweep":
+                cfg, spec = _sweep_config(cfg, explicit)
+            elif args.command == "verify" and cfg["jumps"] < MIN_JUMPS:
+                raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
+            config = _system_config(cfg) if spec is None else spec.config
             if args.dump_config:
-                _system_config(cfg)  # a dump is only of a config that would run
                 print(json.dumps(cfg, indent=2, sort_keys=True))
                 return 0
+            if spec is not None:
+                return cmd_sweep(spec, cfg["out"])
+            temps = {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
+            _warn_advisories(config)
             if args.command == "steady":
-                return cmd_steady(cfg, human=args.human)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, explicit)
-            return cmd_verify(cfg, human=args.human)
+                return cmd_steady(config, temps, human=args.human)
+            return cmd_verify(config, temps, cfg["jumps"], cfg["seed"], human=args.human)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

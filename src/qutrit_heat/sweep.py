@@ -19,7 +19,8 @@ import warnings
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from functools import partial
-from math import inf, log10, pi, prod
+from itertools import chain
+from math import ceil, inf, log10, pi
 from pathlib import Path
 from types import NoneType
 
@@ -262,15 +263,10 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tu
     return out
 
 
-def _evaluate_chunk(spec: SweepSpec, start: int, stop: int) -> list[tuple]:
-    grid = spec.grid()
-    return [row for b in range(start, stop, BLOCK_POINTS)
-            for row in _evaluate_block(spec, grid[b:min(b + BLOCK_POINTS, stop)])]
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the grid; output order is independent of worker count. Each
-    worker evaluates one contiguous range of rows in blocks of BLOCK_POINTS.
+    """Evaluate the grid in blocks of BLOCK_POINTS points, in this process
+    or on a pool of `workers` processes that takes them as at most `workers`
+    runs of contiguous blocks; output order is independent of both.
 
     With a quality_factor or log10_quality_factor axis, the resonator
     linewidths at its lowest Q are checked against the level structure
@@ -283,17 +279,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             resonators = {cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS}
             for note in filter_width_advisories(spec.config.spectrum, resonators):
                 warnings.warn(note, stacklevel=2)
-    n = prod(ax.count for ax in spec.axes)
+    grid = spec.grid()
+    starts = range(0, len(grid), BLOCK_POINTS)
+    blocks = (grid[b:b + BLOCK_POINTS] for b in starts)  # each sliced as it is evaluated
+    evaluate = partial(_evaluate_block, spec)
     if workers <= 1:
-        rows = _evaluate_chunk(spec, 0, n)
+        evaluated = map(evaluate, blocks)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-        bounds = [round(k * n / workers) for k in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_evaluate_chunk, [spec] * workers, bounds[:-1], bounds[1:])
-            rows = [row for chunk in chunks for row in chunk]
-    return SweepResult(columns=spec.columns, rows=tuple(rows))
+            evaluated = list(pool.map(evaluate, blocks, chunksize=ceil(len(starts) / workers)))
+    return SweepResult(columns=spec.columns, rows=tuple(chain.from_iterable(evaluated)))
 
 
 def write_csv(result: SweepResult, destination) -> None:

@@ -190,8 +190,9 @@ class TestSweep:
         assert (code, out) == (2, "") and err.startswith("error: out: cannot write")
 
     def test_missing_spec_rejected(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "sweep", "--out", str(tmp_path / "x.csv"))
-        assert code == 2 and "preset" in err
+        for extra in ((), ("--dump-config",)):
+            code, out, err = run_cli(capsys, "sweep", "--out", str(tmp_path / "x.csv"), *extra)
+            assert (code, out) == (2, "") and "preset" in err, extra
 
     def test_config_file_sweep_runs_and_is_deterministic(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -299,6 +300,9 @@ SMALL_SWEEP = {"axes": [{"name": "hot_temperature", "start": 1.2, "stop": 3.0, "
         {"name": "quality_factor", "start": 10.0, "stop": 100.0, "count": 2},
         {"name": "log10_quality_factor", "start": 1.0, "stop": 2.0, "count": 2}])},
      "log10_quality_factor"),
+    ("sweep", {"sweep": {}}, "sweep.axes"),
+    ("sweep", {"preset": ""}, "preset"),
+    ("verify", {"jumps": 10}, "jumps"),
 ])
 def test_config_value_that_would_crash_or_be_ignored_exits_2(
         tmp_path, capsys, command, data, named):
@@ -569,6 +573,8 @@ def test_fuzzed_config_files_never_raise(tmp_path, capsys, command, text, dump):
     code, out, _ = run_cli(capsys, *argv, *["--dump-config"] * dump)
     # 4 is verify's statistical mismatch, a result rather than a failure
     assert code in ({0, 2, 3, 4} if command == "verify" and not dump else {0, 2, 3})
+    # the dump makes every check of the run but those of --out, which is writable here
+    assert (run_cli(capsys, *argv, *["--dump-config"] * (not dump))[0] == 2) == (code == 2)
     if code == 0 and dump:
         path.write_text(out)
         assert run_cli(capsys, *argv, "--dump-config")[:2] == (0, out)

@@ -194,6 +194,7 @@ def test_csv_bytes_independent_of_block_size_and_workers(monkeypatch):
     for block in (1, 5, 7):
         monkeypatch.setattr(sweep_module, "BLOCK_POINTS", block)
         assert csv_bytes(run_sweep(spec)) == reference
+        assert csv_bytes(run_sweep(spec, workers=3)) == reference
 
 
 def test_all_zero_temperature_point_is_a_reducible_chain_row(monkeypatch):
