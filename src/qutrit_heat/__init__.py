@@ -37,6 +37,7 @@ from .sweep import (
     preset,
     run_sweep,
     write_csv,
+    write_sweep,
 )
 from .transport import (
     HeatCurrents,
@@ -82,4 +83,5 @@ __all__ = [
     "run_sweep",
     "solve_temperatures",
     "write_csv",
+    "write_sweep",
 ]

@@ -4,8 +4,9 @@ Three commands share one flat configuration: `steady` solves a single point,
 `sweep` writes a parameter-map CSV (named preset or config-file spec), and
 `verify` cross-checks the linear solve against the jump-process estimator.
 Configuration comes from a JSON file (--config) whose keys mirror the flags;
-a flag always wins over the file. Exit codes: 0 ok, 2 invalid configuration,
-3 solver failure, 4 verification mismatch.
+a flag always wins over the file. Exit codes: 0 ok, 2 invalid configuration
+or an --out path that cannot be written, 3 solver failure, 4 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .rates import CHANNEL_IDS
 from .steady import MIN_JUMPS, gillespie_estimate
-from .sweep import SweepAxis, SweepSpec, preset, run_sweep, write_csv
+from .sweep import SweepAxis, SweepSpec, preset, write_sweep
 from .transport import (
     SystemConfig,
     TemperatureScenario,
@@ -294,25 +295,25 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
 
 
 def cmd_sweep(spec: SweepSpec, out: str | None) -> int:
-    """Check the output path, run the sweep and write its CSV to it;
-    per-point failures never abort. Its advisories are run_sweep's linewidth
-    warnings of a Q axis, or else the fixed configuration's (none without a
-    spectrum: the sweep flags its rows), and the circuits' notes."""
+    """Open the output path, then stream the sweep's CSV to it block by
+    block (write_sweep); per-point failures never abort. An OSError of the
+    stream is a ConfigError, which a partial file may outlive. Its advisories
+    are write_sweep's linewidth warnings of a Q axis, or else the fixed
+    configuration's (none without a spectrum: the sweep flags its rows), and
+    the circuits' notes. The seconds cover evaluation and writing."""
     if out is None:
         raise ConfigError("out: an output path is required for sweeps")
-    try:  # fail before the sweep, not after it; "a" keeps an old file until the write
-        open(out, "a").close()
+    try:  # opened before the sweep runs, so an unwritable path fails first
+        with open(out, "w", newline="") as stream:
+            if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
+                with suppress(QutritHeatError):
+                    _warn_advisories(spec.config)
+            t0 = time.perf_counter()
+            rows, undefined, errors = write_sweep(spec, stream)
+            elapsed = time.perf_counter() - t0
     except OSError as exc:
         raise ConfigError(f"out: cannot write {out}: {exc}") from exc
-    if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
-        with suppress(QutritHeatError):
-            _warn_advisories(spec.config)
-    t0 = time.perf_counter()
-    result = run_sweep(spec)
-    elapsed = time.perf_counter() - t0
-    write_csv(result, out)
-    print(f"rows {len(result.rows)}  undefined {result.undefined_count()}  "
-          f"errors {result.error_count()}  seconds {elapsed:.2f}  wrote {out}")
+    print(f"rows {rows}  undefined {undefined}  errors {errors}  seconds {elapsed:.2f}  wrote {out}")
     return 0
 
 

@@ -227,7 +227,7 @@ class StochasticEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if abs(float(self.p_hat.sum()) - 1.0) > 1e-9:
+        if not abs(float(self.p_hat.sum()) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("estimated populations must sum to 1")
 
 
@@ -369,17 +369,20 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
             jump, state = chunk(state, min(CHUNK_JUMPS, ends[b + 1] - start))
             counts[b] += np.bincount(jump, minlength=counts.shape[1])
 
-    occ = counts.reshape(_BATCHES, -1, 3).sum(axis=1) / exit_rate
+    with np.errstate(over="ignore", invalid="ignore"):  # exit rates near the float's least
+        occ = counts.reshape(_BATCHES, -1, 3).sum(axis=1) / exit_rate
+        time_in_batch = occ[:, 0] + occ[:, 1] + occ[:, 2]
+        t_total = time_in_batch.sum()
+        p_hat = occ.sum(axis=0) / t_total
+    if not np.isfinite(p_hat).all():
+        raise ValueError("occupation times beyond the float range: the exit rates are too small")
     net = (counts @ flow.reshape(-1, 9)).reshape(_BATCHES, 3, 3)
     heat = net[:, :, 1] * energies[1] + net[:, :, 2] * energies[2]
-    time_in_batch = occ[:, 0] + occ[:, 1] + occ[:, 2]
-    t_total = time_in_batch.sum()
-    p_hat = occ.sum(axis=0) / t_total
     j_hat = heat.sum(axis=0) / t_total
     p_b = occ / time_in_batch[:, None]
     j_b = heat / time_in_batch[:, None]
-    sigma_p = np.maximum(p_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES), 1.0 / exit_rate / t_total)
-    with np.errstate(over="ignore"):  # batch currents beyond ~1e154: sigma is inf
+    with np.errstate(over="ignore"):  # a mean wait or batch currents beyond ~1e154: sigma is inf
+        sigma_p = np.maximum(p_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES), 1.0 / exit_rate / t_total)
         sigma_j = np.maximum(j_b.std(axis=0, ddof=1) / np.sqrt(_BATCHES), largest_step / t_total)
     for arr in (p_hat, sigma_p, j_hat, sigma_j):
         arr.setflags(write=False)

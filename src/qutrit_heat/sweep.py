@@ -143,10 +143,7 @@ class SweepSpec:
 
     def grid(self) -> list[tuple[float, ...]]:
         """Axis value tuples in row-major order (first axis outermost)."""
-        if len(self.axes) == 1:
-            return [(v,) for v in self.axes[0].values()]
-        outer, inner = self.axes[0].values(), self.axes[1].values()
-        return [(u, v) for u in outer for v in inner]
+        return list(chain.from_iterable(_blocks(self)))
 
 
 @dataclass(frozen=True)
@@ -157,17 +154,52 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
     def undefined_count(self) -> int:
-        flag_idx = self.columns.index("flags")
-        return sum(1 for r in self.rows if "undefined" in (r[flag_idx] or ""))
+        return _flag_counts(self.columns, self.rows)[0]
 
     def error_count(self) -> int:
-        flag_idx = self.columns.index("flags")
-        return sum(1 for r in self.rows if "error:" in (r[flag_idx] or ""))
+        return _flag_counts(self.columns, self.rows)[1]
 
 
-#: Grid points per kernel call. It bounds the scenario table's memory; no
-#: result depends on it.
+def _flag_counts(columns: tuple[str, ...], rows) -> tuple[int, int]:
+    """Of rows with these columns, those flagged undefined and those flagged
+    error."""
+    k = columns.index("flags")
+    flags = [r[k] for r in rows if r[k]]
+    return sum("undefined" in f for f in flags), sum("error:" in f for f in flags)
+
+
+#: Grid points per kernel call and per streamed write. It bounds the scenario
+#: table's memory and write_sweep's; no result depends on it.
 BLOCK_POINTS = 256
+
+
+def _blocks(spec: SweepSpec):
+    """The grid points in row-major order (first axis outermost), as lists
+    of at most BLOCK_POINTS points built one at a time: point k of two axes
+    is (outer[k // n_inner], inner[k % n_inner])."""
+    *outer, inner = (ax.values() for ax in spec.axes)
+    n_inner = len(inner)
+    total = n_inner * len(outer[0]) if outer else n_inner
+    for start in range(0, total, BLOCK_POINTS):
+        stop = min(start + BLOCK_POINTS, total)
+        if outer:
+            yield [(outer[0][k // n_inner], inner[k % n_inner]) for k in range(start, stop)]
+        else:
+            yield [(v,) for v in inner[start:stop]]
+
+
+def _warn_q_advisories(spec: SweepSpec) -> None:
+    """With a quality_factor or log10_quality_factor axis, check the
+    resonator linewidths at its lowest Q against the level structure
+    (circuit.filter_width_advisories); each advisory is a UserWarning at the
+    sweep's caller."""
+    for ax in [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]:
+        q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
+        # A fixed configuration without a valid spectrum flags every row instead.
+        with suppress(QutritHeatError):
+            resonators = {cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS}
+            for note in filter_width_advisories(spec.config.spectrum, resonators):
+                warnings.warn(note, stacklevel=3)
 
 
 def _templates(spec: SweepSpec):
@@ -272,36 +304,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     linewidths at its lowest Q are checked against the level structure
     (circuit.filter_width_advisories) and each advisory is a UserWarning.
     """
-    for ax in [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]:
-        q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
-        # A fixed configuration without a valid spectrum flags every row instead.
-        with suppress(QutritHeatError):
-            resonators = {cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS}
-            for note in filter_width_advisories(spec.config.spectrum, resonators):
-                warnings.warn(note, stacklevel=2)
-    grid = spec.grid()
-    starts = range(0, len(grid), BLOCK_POINTS)
-    blocks = (grid[b:b + BLOCK_POINTS] for b in starts)  # each sliced as it is evaluated
+    _warn_q_advisories(spec)
     evaluate = partial(_evaluate_block, spec)
     if workers <= 1:
-        evaluated = map(evaluate, blocks)
+        evaluated = map(evaluate, _blocks(spec))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
+        blocks = list(_blocks(spec))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, blocks, chunksize=ceil(len(starts) / workers)))
+            evaluated = list(pool.map(evaluate, blocks, chunksize=ceil(len(blocks) / workers)))
     return SweepResult(columns=spec.columns, rows=tuple(chain.from_iterable(evaluated)))
 
 
-def write_csv(result: SweepResult, destination) -> None:
-    """Write the header and one line per row to a path or a text stream.
-
-    A float cell is written as %.17g, any other cell as str() and None as an
-    empty field. No field is quoted: column names, regime labels and flags
-    hold no comma, quote or line break. Lines end in a line feed. The bytes
-    depend on the rows only, not on the worker count or BLOCK_POINTS. Each
-    line is one %-format of a template cached per row of cell types.
-    """
+def _line_formatter():
+    """The CSV line of a row: a float cell as %.17g, any other cell as str()
+    and None as an empty field, joined by commas and ended by a line feed.
+    Each line is one %-format of a template cached per row of cell types."""
     templates: dict[tuple[type, ...], tuple[str, bool]] = {}
 
     def line(row: tuple) -> str:
@@ -313,10 +332,49 @@ def write_csv(result: SweepResult, destination) -> None:
         template, sparse = templates[types]
         return template % (tuple(c for c in row if c is not None) if sparse else row)
 
-    path = isinstance(destination, (str, Path))
-    with open(destination, "w", newline="") if path else nullcontext(destination) as stream:
+    return line
+
+
+def _opened(destination):
+    """A path opened for writing, or a text stream as it is."""
+    if isinstance(destination, (str, Path)):
+        return open(destination, "w", newline="")
+    return nullcontext(destination)
+
+
+def write_csv(result: SweepResult, destination) -> None:
+    """Write the header and one line per row to a path or a text stream.
+
+    No field is quoted: column names, regime labels and flags hold no comma,
+    quote or line break. The bytes depend on the rows only, not on the worker
+    count or BLOCK_POINTS; _line_formatter gives each line.
+    """
+    with _opened(destination) as stream:
         stream.write(",".join(result.columns) + "\n")
-        stream.writelines(map(line, result.rows))
+        stream.writelines(map(_line_formatter(), result.rows))
+
+
+def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
+    """Evaluate the grid and write its CSV to a path or a text stream, block
+    by block: only one block of BLOCK_POINTS points and their rows is held
+    at a time. The bytes equal write_csv(run_sweep(spec), destination)'s,
+    and so do the advisories. Writing starts with the first block, so a run
+    that fails can leave a partial file. Returns the rows, the rows flagged
+    undefined and the rows flagged error.
+    """
+    _warn_q_advisories(spec)
+    line = _line_formatter()
+    rows = undefined = errors = 0
+    with _opened(destination) as stream:
+        stream.write(",".join(spec.columns) + "\n")
+        for block in _blocks(spec):
+            block_rows = _evaluate_block(spec, block)
+            stream.writelines(map(line, block_rows))
+            block_undefined, block_errors = _flag_counts(spec.columns, block_rows)
+            rows += len(block_rows)
+            undefined += block_undefined
+            errors += block_errors
+    return rows, undefined, errors
 
 
 # ---------------------------------------------------------------------------

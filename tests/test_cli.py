@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -185,9 +187,27 @@ class TestSweep:
     @pytest.mark.parametrize("where", ["missing/x.csv", "."])
     def test_unwritable_out_exits_2_before_the_sweep(self, tmp_path, capsys, monkeypatch, where):
         # a missing directory (FileNotFoundError) and a directory (IsADirectoryError)
-        monkeypatch.setattr("qutrit_heat.cli.run_sweep", lambda spec: pytest.fail("sweep ran"))
+        monkeypatch.setattr("qutrit_heat.cli.write_sweep",
+                            lambda spec, destination: pytest.fail("sweep ran"))
         code, out, err = run_cli(capsys, "sweep", "--preset", "fig3", "--out", str(tmp_path / where))
         assert (code, out) == (2, "") and err.startswith("error: out: cannot write")
+
+    def test_failed_write_exits_2_and_may_leave_a_partial_file(self, tmp_path, capsys, monkeypatch):
+        def full_disk(spec, destination):
+            destination.write("base_temperature\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("qutrit_heat.cli.write_sweep", full_disk)
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig3", "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err == f"error: out: cannot write {out_csv}: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+        assert out_csv.read_text() == "base_temperature\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_device_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig3", "--out", "/dev/full")
+        assert (code, out) == (2, "") and err.startswith("error: out: cannot write /dev/full: ")
 
     def test_missing_spec_rejected(self, capsys, tmp_path):
         for extra in ((), ("--dump-config",)):
@@ -391,6 +411,10 @@ NAN_CURRENT_POINT = ("--ta", "1e+300", "--q", "1e+300", "--lambda-res", "0",
     (("verify", "--ta", "1e300", "--tb", "1e300", "--jumps", "10000"), 4),  # sigma_j is inf
     (("steady", *NAN_CURRENT_POINT), 3),
     (("verify", *NAN_CURRENT_POINT, "--jumps", "10000"), 3),
+    # exit rates near the float's least: occupation times beyond its range
+    (("verify", "--lambda-res", "0", "--lambda-off", "1e-300", "--jumps", "10000"), 3),
+    (("verify", "--lambda-res", "0", "--lambda-off", "1.1125369292536007e-308",
+      "--jumps", "10000"), 3),
 ])
 def test_extreme_values_raise_no_floating_point_warning(capsys, argv, code):
     # the suite turns every RuntimeWarning into an error

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from qutrit_heat import (
     run_sweep,
     solve_temperatures,
     write_csv,
+    write_sweep,
 )
 from qutrit_heat import sweep
 from qutrit_heat.steady import FAILURE_KINDS, solve_scenarios
@@ -414,6 +416,79 @@ class TestCsv:
         columns = AXIS_NAMES + STATE_COLUMNS + METRIC_COLUMNS + ("regime", "residual", "flags")
         for text in (*columns, *REGIMES, *FLAG_ITEMS, "error:AmbiguousExtremum"):
             assert not set(text) & set(',"\r\n'), text
+
+
+#: A map with undefined cells on its base == hot diagonal, a flux x Q sweep
+#: with InvalidFlux rows and linewidth advisories, and a merged-bath sweep
+#: whose three-bath metrics are error cells.
+STREAMED_SPECS = {
+    "diagonal": spec((SweepAxis("base_temperature", 0.5, 2.0, 4),
+                      SweepAxis("hot_temperature", 0.5, 2.0, 4)), metrics=("R_ab", "R_bc", "C")),
+    "flux": spec((SweepAxis("flux", 4.0, 5.0, 5), SweepAxis("quality_factor", 8.0, 100.0, 3)),
+                 metrics=("C",)),
+    "merged": spec((SweepAxis("hot_temperature", 0.5, 2.0, 6),), cfg=config(merged=("b", "c")),
+                   metrics=("R_ab", "R2_bc_a", "C")),
+}
+
+
+def recorded(call):
+    """call()'s result and the (message, filename) of each warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(str(w.message), w.filename) for w in caught]
+
+
+class TestStream:
+    @pytest.mark.parametrize("name", STREAMED_SPECS)
+    def test_bytes_counts_and_advisories_equal_the_batch_path(self, monkeypatch, name):
+        s = STREAMED_SPECS[name]
+        result, advisories = recorded(lambda: run_sweep(s))
+        reference = written(result)
+        assert result.undefined_count() + result.error_count() > 0
+        for block_points in (1, 5, 7, 256):
+            monkeypatch.setattr(sweep, "BLOCK_POINTS", block_points)
+            buf = io.StringIO()
+            counts, streamed_advisories = recorded(lambda: write_sweep(s, buf))
+            assert buf.getvalue() == reference, block_points
+            assert counts == (len(result.rows), result.undefined_count(), result.error_count())
+            assert streamed_advisories == advisories
+        assert bool(advisories) == (name == "flux")
+
+    def test_a_path_gets_the_same_bytes(self, tmp_path):
+        s = STREAMED_SPECS["diagonal"]
+        write_sweep(s, tmp_path / "streamed.csv")
+        assert (tmp_path / "streamed.csv").read_text() == written(run_sweep(s))
+
+    def test_grid_is_the_blocks_in_row_major_order(self, monkeypatch):
+        s = STREAMED_SPECS["flux"]
+        outer, inner = (ax.values() for ax in s.axes)
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 4)
+        assert [len(b) for b in sweep._blocks(s)] == [4, 4, 4, 3]
+        assert s.grid() == [(u, v) for u in outer for v in inner]
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 16)
+
+        def peak(count: int) -> int:
+            s = spec((SweepAxis("base_temperature", 0.5, 2.0, count),
+                      SweepAxis("hot_temperature", 0.6, 2.1, count)), metrics=("R_ab", "C"))
+            write_sweep(s, tmp_path / "warm.csv")  # first-call caches and imports
+            # CPython keeps up to 2000 freed tuples of each size below 20 for
+            # reuse; a few tuples per block that are built at one size and
+            # freed at another would fill those lists during the measurement
+            # and read as growth. Filled first, they hold still.
+            primed = [tuple([None] * size) for size in range(1, 20) for _ in range(2000)]
+            del primed
+            tracemalloc.start()
+            try:
+                write_sweep(s, tmp_path / "x.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(8), peak(32)
+        assert large <= 1.3 * small, (small, large)
 
 
 class TestPresets:
