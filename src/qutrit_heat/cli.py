@@ -4,9 +4,11 @@ Three commands share one flat configuration: `steady` solves a single point,
 `sweep` writes a parameter-map CSV (named preset or config-file spec), and
 `verify` cross-checks the linear solve against the jump-process estimator.
 Configuration comes from a JSON file (--config) whose keys mirror the flags;
-a flag always wins over the file. Exit codes: 0 ok, 2 invalid configuration
-or an --out path that cannot be written, 3 solver failure, 4 verification
-mismatch.
+a flag always wins over the file. Each distinct UserWarning of a command,
+such as a linewidth advisory (SystemConfig.advisories, which the sweep
+engine checks for a sweep), prints once as an `advisory:` line on stderr.
+Exit codes: 0 ok, 2 invalid configuration or an --out path that cannot be
+written, 3 solver failure, 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import json
 import sys
 import time
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from math import inf, pi
 
-from .circuit import CircuitParams, filter_width_advisories
+from .circuit import CircuitParams
 from .errors import (
     AmbiguousExtremum,
     ConfigError,
@@ -186,12 +188,6 @@ def _fmt(value: float, human: bool) -> str:
     return f"{value:.6g}" if human else f"{value:.17g}"
 
 
-def _warn_advisories(config: SystemConfig) -> None:
-    resonators = {cid: (config.resonator_frequency(cid), config.q) for cid in CHANNEL_IDS}
-    for note in filter_width_advisories(config.spectrum, resonators):
-        warnings.warn(note)
-
-
 @contextmanager
 def _advisories():
     """Record every UserWarning of the block and print each distinct one
@@ -297,17 +293,12 @@ def _parse_sweep_dict(data: dict) -> SweepSpec:
 def cmd_sweep(spec: SweepSpec, out: str | None) -> int:
     """Open the output path, then stream the sweep's CSV to it block by
     block (write_sweep); per-point failures never abort. An OSError of the
-    stream is a ConfigError, which a partial file may outlive. Its advisories
-    are write_sweep's linewidth warnings of a Q axis, or else the fixed
-    configuration's (none without a spectrum: the sweep flags its rows), and
-    the circuits' notes. The seconds cover evaluation and writing."""
+    stream is a ConfigError, which a partial file may outlive. The seconds
+    cover evaluation and writing."""
     if out is None:
         raise ConfigError("out: an output path is required for sweeps")
     try:  # opened before the sweep runs, so an unwritable path fails first
         with open(out, "w", newline="") as stream:
-            if not {"quality_factor", "log10_quality_factor"} & {ax.name for ax in spec.axes}:
-                with suppress(QutritHeatError):
-                    _warn_advisories(spec.config)
             t0 = time.perf_counter()
             rows, undefined, errors = write_sweep(spec, stream)
             elapsed = time.perf_counter() - t0
@@ -361,7 +352,8 @@ def main(argv=None) -> int:
             if spec is not None:
                 return cmd_sweep(spec, cfg["out"])
             temps = {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
-            _warn_advisories(config)
+            for note in config.advisories():
+                warnings.warn(note)
             if args.command == "steady":
                 return cmd_steady(config, temps, human=args.human)
             return cmd_verify(config, temps, cfg["jumps"], cfg["seed"], human=args.human)

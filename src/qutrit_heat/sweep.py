@@ -26,7 +26,7 @@ from types import NoneType
 
 import numpy as np
 
-from .circuit import CircuitParams, filter_width_advisories
+from .circuit import CircuitParams
 from .errors import QutritHeatError
 from .rates import CHANNEL_IDS, channel_prefactors
 from .steady import FAILURE_KINDS, failure_codes, solve_scenarios
@@ -188,20 +188,6 @@ def _blocks(spec: SweepSpec):
             yield [(v,) for v in inner[start:stop]]
 
 
-def _warn_q_advisories(spec: SweepSpec) -> None:
-    """With a quality_factor or log10_quality_factor axis, check the
-    resonator linewidths at its lowest Q against the level structure
-    (circuit.filter_width_advisories); each advisory is a UserWarning at the
-    sweep's caller."""
-    for ax in [ax for ax in spec.axes if ax.name in ("quality_factor", "log10_quality_factor")]:
-        q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
-        # A fixed configuration without a valid spectrum flags every row instead.
-        with suppress(QutritHeatError):
-            resonators = {cid: (spec.config.resonator_frequency(cid), q_min) for cid in CHANNEL_IDS}
-            for note in filter_width_advisories(spec.config.spectrum, resonators):
-                warnings.warn(note, stacklevel=3)
-
-
 def _templates(spec: SweepSpec):
     """Distinct channel-temperature templates of a grid point's scenarios,
     the base scenario first (the sweep's one repeat rule), and per metric
@@ -295,26 +281,39 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tu
     return out
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the grid in blocks of BLOCK_POINTS points, in this process
-    or on a pool of `workers` processes that takes them as at most `workers`
-    runs of contiguous blocks; output order is independent of both.
-
-    With a quality_factor or log10_quality_factor axis, the resonator
-    linewidths at its lowest Q are checked against the level structure
-    (circuit.filter_width_advisories) and each advisory is a UserWarning.
-    """
-    _warn_q_advisories(spec)
+def _evaluated(spec: SweepSpec, workers: int = 1):
+    """Every sweep's one evaluation path: it warns each linewidth advisory at
+    the lowest Q the sweep uses (its Q axis's start, else the configuration's
+    q) as a UserWarning at the sweep's caller, then returns the rows of each
+    block in grid order, as a lazy map in this process (a stream holds one
+    block at a time) or as the list from a pool of `workers` processes, which
+    takes the blocks as at most `workers` runs of contiguous blocks."""
+    q_min = None  # the configuration's Q
+    for ax in spec.axes:
+        if ax.name in ("quality_factor", "log10_quality_factor"):
+            q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
+    with suppress(QutritHeatError):  # a config without a spectrum flags every row instead
+        for note in spec.config.advisories(q_min):
+            warnings.warn(note, stacklevel=3)
     evaluate = partial(_evaluate_block, spec)
     if workers <= 1:
-        evaluated = map(evaluate, _blocks(spec))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+        return map(evaluate, _blocks(spec))
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-        blocks = list(_blocks(spec))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, blocks, chunksize=ceil(len(blocks) / workers)))
-    return SweepResult(columns=spec.columns, rows=tuple(chain.from_iterable(evaluated)))
+    blocks = list(_blocks(spec))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(evaluate, blocks, chunksize=ceil(len(blocks) / workers)))
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """Evaluate the grid in blocks of BLOCK_POINTS points, in this process
+    or on a pool of `workers` processes; output order is independent of
+    both. The resonator linewidths at the lowest Q the sweep uses are
+    checked against the level structure (SystemConfig.advisories) and each
+    advisory is a UserWarning.
+    """
+    return SweepResult(columns=spec.columns,
+                       rows=tuple(chain.from_iterable(_evaluated(spec, workers))))
 
 
 def _line_formatter():
@@ -362,13 +361,12 @@ def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
     that fails can leave a partial file. Returns the rows, the rows flagged
     undefined and the rows flagged error.
     """
-    _warn_q_advisories(spec)
+    evaluated = _evaluated(spec)  # the advisories come before the destination opens
     line = _line_formatter()
     rows = undefined = errors = 0
     with _opened(destination) as stream:
         stream.write(",".join(spec.columns) + "\n")
-        for block in _blocks(spec):
-            block_rows = _evaluate_block(spec, block)
+        for block_rows in evaluated:
             stream.writelines(map(line, block_rows))
             block_undefined, block_errors = _flag_counts(spec.columns, block_rows)
             rows += len(block_rows)

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuit import CircuitParams, QutritSpectrum, derive_spectrum
+from .circuit import CircuitParams, QutritSpectrum, derive_spectrum, filter_width_advisories
 from .errors import AmbiguousExtremum, ReducibleChain, UndefinedCoefficient
 from .rates import CHANNEL_IDS, channel_prefactors
 from .steady import SteadyState, failure_codes, solve_scenarios
@@ -140,6 +140,14 @@ class SystemConfig:
             return dict(self.resonators)[cid]
         spec = self.spectrum
         return {"a": spec.omega10, "b": spec.omega21, "c": spec.omega20}[cid]
+
+    def advisories(self, q: float | None = None) -> list[str]:
+        """The resonator-linewidth advisories (circuit.filter_width_advisories)
+        of the three channels at quality factor q, by default the config's.
+        Raises the spectrum's error where the spectrum does not derive."""
+        q = self.q if q is None else q
+        return filter_width_advisories(
+            self.spectrum, {cid: (self.resonator_frequency(cid), q) for cid in CHANNEL_IDS})
 
     def kernel_frequencies(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Transition (omega10, omega21, omega20) and resonator (a, b, c)

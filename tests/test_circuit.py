@@ -133,12 +133,13 @@ def test_parameter_validation():
 
 
 def test_spectrum_invariant_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="omega20 must equal"):
         QutritSpectrum(omega0=1.0, omega10=1.0, omega21=0.9, omega20=2.0,
                        omega32=0.8)
-    with pytest.raises(ValueError):
-        QutritSpectrum(omega0=1.0, omega10=0.8, omega21=0.9, omega20=1.7,
-                       omega32=0.7)
+    # additive in binary (0.5 + 1.0 == 1.5), so only the order check can fail
+    with pytest.raises(ValueError, match="expected omega10 >= omega21"):
+        QutritSpectrum(omega0=1.0, omega10=0.5, omega21=1.0, omega20=1.5,
+                       omega32=0.25)
 
 
 def test_filter_width_advisory_flags_low_q():

@@ -15,6 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qutrit_heat import (
+    CircuitParams,
+    SweepAxis,
+    SweepSpec,
+    SystemConfig,
+    TemperatureScenario,
+    run_sweep,
+)
 from qutrit_heat.cli import DEFAULTS, _load_config, _parser, _sweep_config, _validate, main
 from qutrit_heat.sweep import AXIS_NAMES, METRIC_COLUMNS
 
@@ -95,6 +103,11 @@ class TestSteady:
         )
         assert code == 2 and "merge" in err
 
+    @pytest.mark.parametrize("merge", ["a,a", "a,x"])
+    def test_merge_requires_two_distinct_channels(self, capsys, merge):
+        code, out, err = run_cli(capsys, "steady", "--merge", merge)
+        assert (code, out) == (2, "") and err.startswith("error: merge: ")
+
     def test_merged_point_runs(self, capsys):
         code, out, _ = run_cli(
             capsys, "steady", "--merge", "b,c", "--ta", "2.0",
@@ -144,6 +157,12 @@ class TestConfigHandling:
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "steady", "--config", "/nonexistent.json")
         assert code == 2
+
+    def test_config_file_that_is_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{\"ta\": 1.0,")
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+        assert (code, out) == (2, "") and err.startswith("error: config: invalid JSON")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -397,6 +416,26 @@ def test_sweep_prints_the_advisories_of_its_q_axis(tmp_path, capsys):
     # the linewidths at the lowest Q, 5, not at the fixed config's Q = 100
     assert advisories(err) == advisories(run_cli(capsys, "steady", "--q", "5")[2])
     assert "Warning" not in err and "run_sweep" not in err
+
+
+def test_sweep_prints_the_advisories_the_library_warns(tmp_path, capsys):
+    # a fixed low Q without a Q axis: the CLI prints what run_sweep warns
+    section = {"axes": [{"name": "base_temperature", "start": 0.5, "stop": 2.0, "count": 4},
+                        {"name": "hot_temperature", "start": 0.5, "stop": 2.0, "count": 4}],
+               "scenario": {"hot": ["a"], "base": 0.9, "hot_temperature": 2.0},
+               "metrics": ["R_ab", "C"], "config": {"q": 4.0}}
+    library = SweepSpec(
+        config=SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2), q=4.0),
+        scenario=TemperatureScenario(hot=frozenset({"a"}), base=0.9, hot_temperature=2.0),
+        axes=tuple(SweepAxis(**ax) for ax in section["axes"]), metrics=("R_ab", "C"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(library)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sweep": section}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 0 and len(caught) == 3
+    assert advisories(err) == [f"advisory: {w.message}" for w in caught]
 
 
 #: Rates near the float range: the populations pass, the heat currents are NaN.

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qutrit_heat import (
     CircuitParams,
     ReducibleChain,
+    StochasticEstimate,
     SystemConfig,
     gillespie_estimate,
     solve_temperatures,
@@ -91,6 +92,12 @@ def test_nonequilibrium_agrees_with_solver():
 def test_minimum_jump_count_enforced():
     with pytest.raises(ValueError, match="10000"):
         gillespie_estimate(*pinned_channels((2.0, 2.0, 2.0)), n_jumps=10, seed=0)
+
+
+def test_estimate_rejects_populations_that_do_not_sum_to_1():
+    with pytest.raises(ValueError, match="sum to 1"):
+        StochasticEstimate(p_hat=np.array([0.5, 0.5, 0.5]), sigma_p=np.zeros(3),
+                           j_hat=np.zeros(3), sigma_j=np.zeros(3), n_jumps=MIN_JUMPS, seed=0)
 
 
 def test_one_scenario_only():

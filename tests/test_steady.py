@@ -10,6 +10,7 @@ import pytest
 from qutrit_heat import (
     CircuitParams,
     ReducibleChain,
+    SteadyState,
     SystemConfig,
     gillespie_estimate,
     ideal_current_amplitude,
@@ -107,6 +108,15 @@ class TestSolveSteady:
             assert abs(float(p.sum()) - 1.0) <= 1e-12
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
             assert residual <= 1e-10
+
+    @pytest.mark.parametrize("p, message", [
+        ([0.5, 0.5], "shape"),
+        ([0.5, 0.5, 0.5], "sum to 1"),
+        ([1.5, -0.5, 0.0], r"lie in \[0, 1\]"),
+    ])
+    def test_steady_state_rejects_invalid_populations(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            SteadyState(p=np.array(p), residual=0.0)
 
     def test_reducible_chain_rejected(self):
         # all-zero rates

@@ -69,6 +69,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepAxis("hot_temperature", -0.5, 1.0, 10)
 
+    @pytest.mark.parametrize("name, start, stop, message", [
+        ("lambda_off", -0.5, 1.0, "weights must be >= 0"),
+        ("quality_factor", 0.0, 100.0, "Q must be positive"),
+        ("log10_quality_factor", -301.0, 2.0, "exponents must lie in"),
+        ("log10_quality_factor", 1.0, 301.0, "exponents must lie in"),
+    ])
+    def test_axis_range_rejected(self, name, start, stop, message):
+        with pytest.raises(ValueError, match=message):
+            SweepAxis(name, start, stop, 3)
+
+    def test_unknown_passive_rejected(self):
+        with pytest.raises(ValueError, match="passive must be"):
+            spec((SweepAxis("hot_temperature", 1.0, 2.0, 2),), metrics=("R_ab",), passive="hot")
+
     def test_unknown_axis_and_metric(self):
         with pytest.raises(ValueError, match="unknown axis"):
             SweepAxis("voltage", 0.0, 1.0, 5)
@@ -162,8 +176,9 @@ class TestRunSweep:
         # rates near the float range: the populations pass, the heat currents are NaN
         cfg = config(circuit=CircuitParams(e_j=1e300, e_c=1e-300, phi=math.pi / 2), q=1e300,
                      lambda_res=0.0, lambda_off=1e300)
-        res = run_sweep(spec((SweepAxis("hot_temperature", 1e299, 1e300, 2),), ("R_ab",),
-                             cfg=cfg, scenario=TemperatureScenario(hot=frozenset({"a"}))))
+        with pytest.warns(UserWarning, match="linewidth"):  # e_c = 1e-300 closes the gap
+            res = run_sweep(spec((SweepAxis("hot_temperature", 1e299, 1e300, 2),), ("R_ab",),
+                                 cfg=cfg, scenario=TemperatureScenario(hot=frozenset({"a"}))))
         assert [row[1:] for row in res.rows] == [(None,) * 9 + ("error:ValueError",)] * 2
         with pytest.raises(ValueError, match="not finite"):
             solve_temperatures(cfg, {"a": 1e300, "b": 1.0, "c": 1.0})
@@ -272,9 +287,8 @@ class TestQSweep:
         s = spec((SweepAxis("quality_factor", 8.0, 100.0, 3),), metrics=("C",))
         with pytest.warns(UserWarning, match="linewidth"):
             run_sweep(s)
-        # only a Q axis is checked, not a low Q fixed in the configuration
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", message=".*linewidth")
+        # without a Q axis, the Q fixed in the configuration is checked
+        with pytest.warns(UserWarning, match="linewidth"):
             run_sweep(spec((SweepAxis("hot_temperature", 1.0, 2.0, 2),), cfg=config(q=8.0)))
 
     def test_advisory_skips_a_config_without_spectrum(self):
@@ -428,6 +442,9 @@ STREAMED_SPECS = {
                  metrics=("C",)),
     "merged": spec((SweepAxis("hot_temperature", 0.5, 2.0, 6),), cfg=config(merged=("b", "c")),
                    metrics=("R_ab", "R2_bc_a", "C")),
+    "fixed_low_q": spec((SweepAxis("base_temperature", 0.5, 2.0, 4),
+                         SweepAxis("hot_temperature", 0.5, 2.0, 4)), metrics=("R_ab", "C"),
+                        cfg=config(q=4.0)),
 }
 
 
@@ -453,7 +470,7 @@ class TestStream:
             assert buf.getvalue() == reference, block_points
             assert counts == (len(result.rows), result.undefined_count(), result.error_count())
             assert streamed_advisories == advisories
-        assert bool(advisories) == (name == "flux")
+        assert bool(advisories) == (name in ("flux", "fixed_low_q"))
 
     def test_a_path_gets_the_same_bytes(self, tmp_path):
         s = STREAMED_SPECS["diagonal"]

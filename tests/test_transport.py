@@ -349,6 +349,15 @@ class TestTransportReport:
             TemperatureScenario(hot=frozenset(), base=-1.0, hot_temperature=1.0)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"merged": ("b", "b")}, "two distinct channels"),
+    ({"resonators": (("d", 1.0),)}, "unknown resonator channel"),
+])
+def test_system_config_rejects_unknown_channels(kw, message):
+    with pytest.raises(ValueError, match=message):
+        config(**kw)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_rejected(bad):
     # NaN fails every comparison, so a check written as `t < 0` let it pass
