@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     InvalidFlux,
     NonPositiveFrequency,
-    QutritHeatError,
     ReducibleChain,
 )
 from .rates import CHANNEL_IDS
@@ -364,9 +363,6 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except QutritHeatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

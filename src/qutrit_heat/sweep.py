@@ -67,6 +67,8 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.name not in AXIS_NAMES:
             raise ValueError(f"unknown axis {self.name!r}; expected one of {AXIS_NAMES}")
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"axis {self.name}: point count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError(f"axis {self.name}: point count must be >= 2")
         if not -inf < self.start < self.stop < inf:
@@ -154,17 +156,16 @@ class SweepResult:
     rows: tuple[tuple, ...]
 
     def undefined_count(self) -> int:
-        return _flag_counts(self.columns, self.rows)[0]
+        return _flag_counts(r[-1] for r in self.rows)[0]
 
     def error_count(self) -> int:
-        return _flag_counts(self.columns, self.rows)[1]
+        return _flag_counts(r[-1] for r in self.rows)[1]
 
 
-def _flag_counts(columns: tuple[str, ...], rows) -> tuple[int, int]:
-    """Of rows with these columns, those flagged undefined and those flagged
-    error."""
-    k = columns.index("flags")
-    flags = [r[k] for r in rows if r[k]]
+def _flag_counts(flags) -> tuple[int, int]:
+    """Of rows with these flags cells, those flagged undefined and those
+    flagged error."""
+    flags = [f for f in flags if f]
     return sum("undefined" in f for f in flags), sum("error:" in f for f in flags)
 
 
@@ -205,9 +206,11 @@ def _templates(spec: SweepSpec):
     return templates, metrics
 
 
-def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tuple]:
-    """Rows of a block of grid points, from one kernel call on the table of
-    (valid point, template) scenarios; each flux value's spectrum once."""
+def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[list]:
+    """Columns of a block of grid points, one list per entry of spec.columns,
+    from one kernel call on the table of (valid point, template) scenarios;
+    each flux value's spectrum once. A row's error stays an index into
+    `kinds` (FAILURE_KINDS, then the spectrum errors) until it is written."""
     n, cfg, scen = len(points), spec.config, spec.scenario
     values = [[p[i] for p in points] for i in range(len(spec.axes))]
     axis = {ax.name: v for ax, v in zip(spec.axes, values)}
@@ -217,28 +220,31 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tu
         np.array(axis.get(key, [default] * n), dtype=float)
         for key, default in (("base_temperature", scen.base), ("hot_temperature", scen.hot_temperature),
                              ("quality_factor", cfg.q), ("lambda_off", cfg.lambda_off)))
-    distinct = {}  # flux value -> its position, then its (frequencies, error name)
-    index = [distinct.setdefault(phi, len(distinct)) for phi in axis.get("flux", [None] * n)]
+    distinct = {} if "flux" in axis else {None: 0}  # flux -> its position, then (frequencies, error)
+    index = ([distinct.setdefault(phi, len(distinct)) for phi in axis["flux"]] if "flux" in axis
+             else np.zeros(n, dtype=int))
+    kinds = list(FAILURE_KINDS)
     for phi in distinct:
         try:
             point_cfg = cfg if phi is None else replace(
                 cfg, circuit=CircuitParams(e_j=cfg.circuit.e_j, e_c=cfg.circuit.e_c, phi=phi),
                 resonators=() if spec.repin_resonators else cfg.resonators)
-            distinct[phi] = point_cfg.kernel_frequencies(), ""
+            distinct[phi] = point_cfg.kernel_frequencies(), 0
         except (QutritHeatError, ValueError, ArithmeticError) as exc:
-            distinct[phi] = np.ones((2, 3)), type(exc).__name__
+            kinds.append(type(exc).__name__)
+            distinct[phi] = np.ones((2, 3)), len(kinds) - 1
     frequencies, error = zip(*distinct.values())
     freqs, omega_l = np.array(frequencies)[index].transpose(1, 0, 2)
-    error = np.array(error, dtype=object)[index]
+    error = np.array(error)[index]
 
     templates, metric_slots = _templates(spec)
     sources = {"base": base, "hot": hot, "mean": 0.5 * (base + hot)}
     temps = np.stack([np.stack([sources[s] if isinstance(s, str) else np.full(n, s) for s in t],
                                axis=1) for t in templates], axis=1)  # (point, slot, channel)
-    valid = np.flatnonzero(error == "")
-    blank = (None,) * (6 + len(spec.metric_columns))
+    valid = np.flatnonzero(error == 0)
+    width = len(spec.columns) - len(values) - 1  # cells between the axes and the flags
     if not valid.size:
-        return [point + blank + (None, None, f"error:{e}") for point, e in zip(points, error)]
+        return [*values, *([None] * n for _ in range(width)), [f"error:{kinds[e]}" for e in error]]
     point = np.repeat(valid, len(templates))
     table = np.zeros((n, len(templates)), dtype=int)  # (point, slot) -> scenario
     table[valid] = np.arange(point.size).reshape(valid.size, -1)
@@ -248,16 +254,14 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tu
     failure = failure_codes(residual, connected, j, scale)
 
     rows = table[:, 0]
-    error = np.where(error == "", np.array(FAILURE_KINDS, dtype=object)[failure[rows]], error)
-    ok = error == ""
+    error = np.where(error == 0, failure[rows], error)
+    ok = error == 0
     baths = cfg.bath_ids()
     members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
     bath_t = temps[:, 0, [CHANNEL_IDS.index(m[0]) for m in members]]
     bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
-    regime = np.full(n, None, dtype=object)
-    regime[ok] = regimes(baths, bath_t[ok], bath_j[ok])[0]
-    ambiguous = np.flatnonzero(ok & np.equal(regime, None)).tolist()
-    flags = {k: ["error:AmbiguousExtremum"] for k in ambiguous}
+    regime = regimes(baths, bath_t, np.where(ok[:, None], bath_j, 0.0))[0]  # an error row: none
+    flags = {k: ["error:AmbiguousExtremum"] for k, label in enumerate(regime) if label is None}
     cells = []
     for name in spec.metric_columns:
         if name not in metric_slots:  # ValueError, as the scalar API raises
@@ -274,20 +278,26 @@ def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[tu
             column[k] = None
         cells.append(column)
 
-    out = list(zip(*values, *p[rows].T.tolist(), *j[rows].T.tolist(), *cells, regime.tolist(),
-                   residual[rows].tolist(), [";".join(flags.get(k, ())) for k in range(n)]))
+    flag = [""] * n
+    for k, notes in flags.items():
+        flag[k] = ";".join(notes)
+    columns = [*values, *p[rows].T.tolist(), *j[rows].T.tolist(), *cells, regime,
+               residual[rows].tolist(), flag]
     for k in np.flatnonzero(~ok).tolist():
-        out[k] = points[k] + blank + (None, None, f"error:{error[k]}")
-    return out
+        for column in columns[len(values):-1]:
+            column[k] = None
+        flag[k] = f"error:{kinds[error[k]]}"
+    return columns
 
 
 def _evaluated(spec: SweepSpec, workers: int = 1):
     """Every sweep's one evaluation path: it warns each linewidth advisory at
     the lowest Q the sweep uses (its Q axis's start, else the configuration's
-    q) as a UserWarning at the sweep's caller, then returns the rows of each
-    block in grid order, as a lazy map in this process (a stream holds one
-    block at a time) or as the list from a pool of `workers` processes, which
-    takes the blocks as at most `workers` runs of contiguous blocks."""
+    q) as a UserWarning at the sweep's caller, then returns the columns of
+    each block (_evaluate_block) in grid order, as a lazy map in this process
+    (a stream holds one block at a time) or as the list from a pool of
+    `workers` processes, which takes the blocks as at most `workers` runs of
+    contiguous blocks."""
     q_min = None  # the configuration's Q
     for ax in spec.axes:
         if ax.name in ("quality_factor", "log10_quality_factor"):
@@ -312,8 +322,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     checked against the level structure (SystemConfig.advisories) and each
     advisory is a UserWarning.
     """
-    return SweepResult(columns=spec.columns,
-                       rows=tuple(chain.from_iterable(_evaluated(spec, workers))))
+    return SweepResult(columns=spec.columns, rows=tuple(
+        chain.from_iterable(zip(*block) for block in _evaluated(spec, workers))))
 
 
 def _line_formatter():
@@ -357,19 +367,25 @@ def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
     """Evaluate the grid and write its CSV to a path or a text stream, block
     by block: only one block of BLOCK_POINTS points and their rows is held
     at a time. The bytes equal write_csv(run_sweep(spec), destination)'s,
-    and so do the advisories. Writing starts with the first block, so a run
-    that fails can leave a partial file. Returns the rows, the rows flagged
-    undefined and the rows flagged error.
+    and so do the advisories. Each axis value is formatted once per sweep
+    and each distinct residual once per block; _line_formatter formats the
+    other cells. Writing starts with the first block, so a run that fails
+    can leave a partial file. Returns the rows, the rows flagged undefined
+    and the rows flagged error.
     """
     evaluated = _evaluated(spec)  # the advisories come before the destination opens
+    axis_cells = [{v: "%.17g" % v for v in ax.values()} for ax in spec.axes]
     line = _line_formatter()
     rows = undefined = errors = 0
     with _opened(destination) as stream:
         stream.write(",".join(spec.columns) + "\n")
-        for block_rows in evaluated:
-            stream.writelines(map(line, block_rows))
-            block_undefined, block_errors = _flag_counts(spec.columns, block_rows)
-            rows += len(block_rows)
+        for columns in evaluated:
+            residual = {r: None if r is None else "%.17g" % r for r in set(columns[-2])}
+            for i, cells in (*enumerate(axis_cells), (-2, residual)):
+                columns[i] = map(cells.__getitem__, columns[i])
+            stream.write("".join(map(line, zip(*columns))))
+            block_undefined, block_errors = _flag_counts(columns[-1])
+            rows += len(columns[-1])
             undefined += block_undefined
             errors += block_errors
     return rows, undefined, errors

@@ -229,23 +229,24 @@ def classify_regime(
 
 def regimes(names, temperatures: np.ndarray, currents: np.ndarray):
     """Regime labels of N points whose (N, B) bath temperatures and currents
-    list the baths `names`: an object array with None where AmbiguousExtremum
-    applies, plus the (N, B) masks of the cooled coldest and heated hottest
-    baths. Warns for each point that is both a refrigerator and a pump."""
+    list the baths `names`: a list with None where AmbiguousExtremum applies,
+    plus the (N, B) masks of the cooled coldest and heated hottest baths, from
+    integer codes (0 none, 1 + b R_b, 1 + B + b P_b, -1 None) mapped to the
+    labels. Warns for each point that is both a refrigerator and a pump."""
     tmin = temperatures.min(axis=1, keepdims=True)
     tmax = temperatures.max(axis=1, keepdims=True)
     cooled = (temperatures == tmin) & (currents > 0.0) & (tmax > tmin)
     heated = (temperatures == tmax) & (currents < 0.0) & (tmax > tmin)
     n_cooled, n_heated = cooled.sum(axis=1), heated.sum(axis=1)
-    fridge = np.array([f"R_{b}" for b in names], dtype=object)[cooled.argmax(axis=1)]
-    pump = np.array([f"P_{b}" for b in names], dtype=object)[heated.argmax(axis=1)]
-    labels = np.where(n_heated == 0, np.where(n_cooled == 1, fridge, "none"),
-                      np.where((n_heated == 1) & (n_cooled == 0), pump, "none")).astype(object)
-    labels[(n_cooled > 1) | (n_heated > 1)] = None
+    fridge, pump = 1 + cooled.argmax(axis=1), 1 + len(names) + heated.argmax(axis=1)
+    code = np.where(n_heated == 0, np.where(n_cooled == 1, fridge, 0),
+                    np.where((n_heated == 1) & (n_cooled == 0), pump, 0))
+    code[(n_cooled > 1) | (n_heated > 1)] = -1
+    labels = ["none", *(f"R_{b}" for b in names), *(f"P_{b}" for b in names), None]
     for k in np.flatnonzero((n_cooled == 1) & (n_heated == 1)):
-        warnings.warn(f"simultaneous {fridge[k]} and {pump[k]} without a work source; "
-                      "reporting none", stacklevel=2)
-    return labels, cooled, heated
+        warnings.warn(f"simultaneous {labels[fridge[k]]} and {labels[pump[k]]} without a work "
+                      "source; reporting none", stacklevel=2)
+    return list(map(labels.__getitem__, code.tolist())), cooled, heated
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,37 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_run_imports_nothing_its_dump_config_did_not(tmp_path):
+    # A lazy import inside a run counts in the benchmark's post-setup time.
+    # verify's first generator loads numpy.random and what it imports; that
+    # family is loaded here before verify runs, so only other imports show.
+    (tmp_path / "sweep.json").write_text(json.dumps({"sweep": {
+        "axes": [{"name": "hot_temperature", "start": 1.0, "stop": 2.0, "count": 3}],
+        "metrics": ["R_ab", "C"]}}))
+    cases = [["sweep", "--preset", "fig3", "--out", str(tmp_path / "fig3.csv")],
+             ["sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "c.csv")],
+             ["steady"], ["verify", "--jumps", "20000"]]
+    code = f"""
+import contextlib, io, json, sys
+from qutrit_heat.cli import main
+new = {{}}
+for argv in {cases!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + ["--dump-config"]) == 0
+        before = set(sys.modules)
+        if argv[0] == "verify":
+            import numpy.random
+            assert "numpy.random" not in before
+        before = set(sys.modules)
+        assert main(argv) == 0
+    new[" ".join(argv[:2])] = sorted(set(sys.modules) - before)
+print(json.dumps(new))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {" ".join(argv[:2]): [] for argv in cases}
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "qutrit_heat.cli", "steady", "--ta", "1.0",

@@ -61,6 +61,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="count"):
             SweepAxis("base_temperature", 1.0, 2.0, 1)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValueError, match="point count must be an integer"):
+            SweepAxis("hot_temperature", 2.0, 4.0, count)
+
+    def test_numpy_integer_count_accepted(self):
+        ax = SweepAxis("hot_temperature", 2.0, 4.0, np.int64(3))
+        assert run_sweep(spec((ax,))).rows[-1][0] == 4.0
+
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="start"):
             SweepAxis("base_temperature", 2.0, 1.0, 10)

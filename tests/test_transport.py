@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qutrit_heat import (
     AmbiguousExtremum,
@@ -19,7 +22,7 @@ from qutrit_heat import (
     rectification_3t,
     solve_temperatures,
 )
-from qutrit_heat.transport import bath_currents, metric_scenarios, metric_values
+from qutrit_heat.transport import bath_currents, metric_scenarios, metric_values, regimes
 
 QUARTER_FLUX = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 
@@ -328,6 +331,51 @@ class TestRegimeClassifier:
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError):
             classify_regime({"a": 1.0}, {"a": 1.0, "b": 1.0, "c": 1.0})
+
+
+def reference_regime(names, temperatures, currents):
+    """(label, warns) of one point, written from classify_regime's docstring:
+    R_l for the coldest bath l with J_l > 0, P_l for the hottest with J_l < 0,
+    None when two baths tie for that extremum and both claim it, and "none"
+    otherwise, with a warning when a refrigerator and a pump label both apply."""
+    lo, hi = min(temperatures), max(temperatures)
+    if lo == hi:
+        return "none", False
+    cooled = [b for b, t, j in zip(names, temperatures, currents) if t == lo and j > 0]
+    heated = [b for b, t, j in zip(names, temperatures, currents) if t == hi and j < 0]
+    if len(cooled) > 1 or len(heated) > 1:
+        return None, False
+    if cooled and heated:
+        return "none", True
+    if cooled:
+        return f"R_{cooled[0]}", False
+    return (f"P_{heated[0]}" if heated else "none"), False
+
+
+@st.composite
+def regime_points(draw):
+    """Bath names and (N, B) temperatures and currents drawn from a few values,
+    so ties at the minimum and maximum, equal temperatures and zero currents
+    are common."""
+    names = draw(st.sampled_from([("a", "b", "c"), ("a", "bc"), ("ab", "c"), ("b", "a", "c")]))
+    n = draw(st.integers(1, 12))
+    cells = st.lists(st.lists(st.sampled_from([0.0, 0.5, 2.0, 3.5]), min_size=len(names),
+                              max_size=len(names)), min_size=n, max_size=n)
+    currents = st.lists(st.lists(st.sampled_from([-1.5, -1e-300, -0.0, 0.0, 1e-300, 0.7]),
+                                 min_size=len(names), max_size=len(names)), min_size=n, max_size=n)
+    return names, np.array(draw(cells)), np.array(draw(currents))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regime_points())
+def test_regimes_match_the_per_row_reference(point):
+    names, temperatures, currents = point
+    expected = [reference_regime(names, t, j) for t, j in zip(temperatures.tolist(), currents.tolist())]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = regimes(names, temperatures, currents)[0]
+    assert labels == [label for label, _ in expected]
+    assert len(caught) == sum(warns for _, warns in expected)
 
 
 class TestTransportReport:
