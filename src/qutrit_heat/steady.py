@@ -12,11 +12,13 @@ times: each jump counts for its conditional mean wait, the inverse exit
 rate of the state it leaves (Rao-Blackwellisation; Casella and Robert,
 Biometrika 83, 81, 1996). An interval lookup names each jump's outcome, a
 prefix scan of next-state maps gives the trajectory, and each batch keeps
-integer jump counts, from which its times and heats follow.
+integer jump counts, from which its times and heats follow. Its uniforms
+are a SplitMix64 counter stream (Steele, Lea and Flood, OOPSLA 2014).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import exp
 
@@ -278,6 +280,33 @@ def _scan(start: int, codes: np.ndarray, compose: np.ndarray) -> tuple[np.ndarra
     return np.concatenate(([start], after[:-1])), int(after[-1])
 
 
+#: SplitMix64's counter step (the golden ratio times 2**64) and multipliers.
+_GOLDEN, _M1, _M2, _MASK = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 2**64 - 1
+
+
+def _mix(z):
+    """SplitMix64's mixer of a 64-bit Python int, or of a uint64 array (which wraps silently)."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK
+    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _stream_key(seed: int, n_jumps: int) -> int:
+    """The stream key: the 64-bit words of seed >= 0, low first, then n_jumps,
+    folded through _mix in Python ints (numpy scalar arithmetic warns on overflow)."""
+    key = 0
+    for word in (*(seed >> s for s in range(0, max(seed.bit_length(), 1), 64)), n_jumps):
+        key = _mix(((key + _GOLDEN) & _MASK) ^ (word & _MASK))
+    return key
+
+
+def _uniforms(key: int, start: int, size: int) -> np.ndarray:
+    """Doubles start .. start + size - 1 of the stream: double k, in [0, 1),
+    is _mix(key + (k + 1) * _GOLDEN) >> 11 times 2**-53, whatever the split."""
+    counter = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+    return (_mix(counter * _GOLDEN + key) >> 11) * 2.0**-53
+
+
 def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: np.ndarray,
                        n_jumps: int, seed: int) -> StochasticEstimate:
     """Simulate the continuous-time jump process and estimate steady values.
@@ -296,17 +325,19 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     a function of the arguments alone, bit for bit.
 
     Jump k leaves s for the first outcome of s's table whose cumulative
-    probability is at least u[k], the k-th double of PCG64(seed) after its
-    first n_burn + n_jumps. In chunks of at most CHUNK_JUMPS jumps, none
-    spanning the end of the burn-in or of a batch, u[k]'s interval among
+    probability is at least u[k], double k of the SplitMix64 stream of seed and
+    n_jumps (_stream_key, _uniforms). In chunks of at most CHUNK_JUMPS jumps,
+    none spanning the end of the burn-in or of a batch, u[k]'s interval among
     the merged outcome tables (_interval_tables) names the jump's next-state
-    map, a prefix scan of the maps (_scan) gives the states the jumps leave,
-    and a bincount adds the jumps to their batch's counts.
+    map, a prefix scan of the maps (_scan) gives the states the jumps leave, and
+    a bincount adds the jumps to their batch's counts.
 
     Each sigma is the spread of the 50 batch means, floored at one count
     over the total time T: (1/r_s)/T for p_s, and the largest |E_j - E_i|
     of channel l's jumps over T for j_l.
     """
+    if operator.index(seed) < 0:  # TypeError for a non-integer
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
     if len(freqs) != 1:
@@ -346,12 +377,12 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     largest_step = np.where(rate > 0.0, abs(energies - energies[:, None]), 0.0).max(axis=(1, 2))
 
     n_burn = n_jumps // 100
-    picks = np.random.Generator(np.random.PCG64(seed).advance(n_burn + n_jumps))
+    key = _stream_key(operator.index(seed), n_jumps)
 
-    def chunk(state: int, size: int) -> tuple[np.ndarray, int]:
-        """The next size jumps from state: their kind 3 * interval + the
-        state they leave, and the state after them."""
-        u = picks.random(size)
+    def chunk(state: int, start: int, size: int) -> tuple[np.ndarray, int]:
+        """Jumps start .. start + size - 1 of the run, from state: their kind
+        3 * interval + the state they leave, and the state after them."""
+        u = _uniforms(key, start, size)
         interval = np.zeros(size, dtype=np.intp)
         for b in breaks:  # breaks.searchsorted(u), without its mispredicted branches
             interval += u > b
@@ -360,13 +391,13 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
 
     state = 0
     for start in range(0, n_burn, CHUNK_JUMPS):
-        state = chunk(state, min(CHUNK_JUMPS, n_burn - start))[1]
+        state = chunk(state, start, min(CHUNK_JUMPS, n_burn - start))[1]
     counts = np.zeros((_BATCHES, 3 * len(outcome)), dtype=np.int64)
     # jump k after the burn-in falls in batch k * _BATCHES // n_jumps
     ends = [-(-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]
     for b in range(_BATCHES):
         for start in range(ends[b], ends[b + 1], CHUNK_JUMPS):
-            jump, state = chunk(state, min(CHUNK_JUMPS, ends[b + 1] - start))
+            jump, state = chunk(state, n_burn + start, min(CHUNK_JUMPS, ends[b + 1] - start))
             counts[b] += np.bincount(jump, minlength=counts.shape[1])
 
     with np.errstate(over="ignore", invalid="ignore"):  # exit rates near the float's least

@@ -145,7 +145,7 @@ class SweepSpec:
 
     def grid(self) -> list[tuple[float, ...]]:
         """Axis value tuples in row-major order (first axis outermost)."""
-        return list(chain.from_iterable(_blocks(self)))
+        return list(chain.from_iterable(zip(*block) for block in _blocks(self)))
 
 
 @dataclass(frozen=True)
@@ -175,18 +175,19 @@ BLOCK_POINTS = 256
 
 
 def _blocks(spec: SweepSpec):
-    """The grid points in row-major order (first axis outermost), as lists
-    of at most BLOCK_POINTS points built one at a time: point k of two axes
-    is (outer[k // n_inner], inner[k % n_inner])."""
+    """The grid points in row-major order (first axis outermost), in blocks
+    of at most BLOCK_POINTS points built one at a time, each one list per
+    axis: point k of two axes is (outer[k // n_inner], inner[k % n_inner])."""
     *outer, inner = (ax.values() for ax in spec.axes)
     n_inner = len(inner)
     total = n_inner * len(outer[0]) if outer else n_inner
     for start in range(0, total, BLOCK_POINTS):
         stop = min(start + BLOCK_POINTS, total)
         if outer:
-            yield [(outer[0][k // n_inner], inner[k % n_inner]) for k in range(start, stop)]
+            yield ([outer[0][k // n_inner] for k in range(start, stop)],
+                   [inner[k % n_inner] for k in range(start, stop)])
         else:
-            yield [(v,) for v in inner[start:stop]]
+            yield (inner[start:stop],)
 
 
 def _templates(spec: SweepSpec):
@@ -206,13 +207,12 @@ def _templates(spec: SweepSpec):
     return templates, metrics
 
 
-def _evaluate_block(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[list]:
-    """Columns of a block of grid points, one list per entry of spec.columns,
-    from one kernel call on the table of (valid point, template) scenarios;
-    each flux value's spectrum once. A row's error stays an index into
-    `kinds` (FAILURE_KINDS, then the spectrum errors) until it is written."""
-    n, cfg, scen = len(points), spec.config, spec.scenario
-    values = [[p[i] for p in points] for i in range(len(spec.axes))]
+def _evaluate_block(spec: SweepSpec, values: tuple[list[float], ...]) -> list[list]:
+    """Columns of a block (_blocks), one list per entry of spec.columns, from
+    one kernel call on the table of (valid point, template) scenarios; each flux
+    value's spectrum once. A row's error stays an index into `kinds`
+    (FAILURE_KINDS, then the spectrum errors) until it is written."""
+    n, cfg, scen = len(values[0]), spec.config, spec.scenario
     axis = {ax.name: v for ax, v in zip(spec.axes, values)}
     if "log10_quality_factor" in axis:
         axis["quality_factor"] = [10.0 ** v for v in axis["log10_quality_factor"]]

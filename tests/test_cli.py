@@ -529,42 +529,42 @@ README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",
      "j_c -0.00164361\nregime R_b\nresidual 9.54098e-18\n"),
     (("verify", "--ta", "3.0", "--tb", "1.5", "--tc", "2.0", "--jumps", "20000", "--seed", "11"),
      "quantity exact estimate sigma z\n"
-     "p0 0.82149277418120692 0.82127272069222612 0.00040173367255862135 0.55\n"
-     "p1 0.16946862315380745 0.16956620194192137 0.00040183282974135567 0.24\n"
-     "p2 0.0090386026649857034 0.0091610773658529748 0.00024356340864183405 0.50\n"
-     "j_a 0.00047930756011228782 0.00071227182233778359 0.00028046435094344663 0.83\n"
-     "j_b -0.00010586385678108457 1.0121704469798515e-06 0.00022841122513904161 0.47\n"
-     "j_c -0.00037344370333118214 -0.00071328399278476346 0.00047488741592951263 0.72\n"
-     "max_z 0.83\n"),
+     "p0 0.82149277418120692 0.82157265448214156 0.00034796718797790443 0.23\n"
+     "p1 0.16946862315380745 0.1693064141316796 0.00039637369698795834 0.41\n"
+     "p2 0.0090386026649857034 0.0091209313861791846 0.00024513593194485457 0.34\n"
+     "j_a 0.00047930756011228782 0.0006746931576055113 0.0002894314368328578 0.68\n"
+     "j_b -0.00010586385678108457 -3.2571072493670741e-06 0.00023544118536775204 0.44\n"
+     "j_c -0.00037344370333118214 -0.00067143605035614447 0.00050973785891224679 0.58\n"
+     "max_z 0.68\n"),
     (("verify", "--merge", "b,c", "--ta", "1.3", "--tb", "1.1", "--tc", "1.1",
       "--jumps", "20000", "--seed", "5"),
      "quantity exact estimate sigma z\n"
-     "p0 0.97408965948179183 0.97410861420487138 9.8743904126190703e-05 0.19\n"
-     "p1 0.025576452203074772 0.025568205041655124 3.2995447415503536e-05 0.25\n"
-     "p2 0.00033388831513343943 0.00032318075347339317 2.0153582736409977e-05 0.53\n"
-     "j_a 8.8132749016261235e-05 6.4422079894587976e-05 2.0619746110914815e-05 1.15\n"
-     "j_b 4.0607364744994359e-05 3.284840457498485e-05 1.8490631795129957e-05 0.42\n"
-     "j_c -0.00012874011376125795 -9.614644858297671e-05 3.3394208677927652e-05 0.98\n"
-     "max_z 1.15\n"),
+     "p0 0.97408965948179183 0.97402899823277778 9.8996747457340934e-05 0.61\n"
+     "p1 0.025576452203074772 0.025615359532740203 3.4475468376149881e-05 1.13\n"
+     "p2 0.00033388831513343943 0.00035564223448213687 1.3848392674668208e-05 1.57\n"
+     "j_a 8.8132749016261235e-05 0.00010894720795190344 2.1332919286250138e-05 0.98\n"
+     "j_b 4.0607364744994359e-05 1.6882039114613277e-05 1.8749997792997053e-05 1.27\n"
+     "j_c -0.00012874011376125795 -0.00012460512113447283 3.3021872577928682e-05 0.13\n"
+     "max_z 1.57\n"),
     (("verify", "--ta", "3.0", "--tb", "1.5", "--tc", "2.0", "--jumps", "1000000", "--seed", "11"),
      "quantity exact estimate sigma z\n"
-     "p0 0.82149277418120692 0.82149550553482797 4.8050806302337332e-05 0.06\n"
-     "p1 0.16946862315380745 0.16943307316286602 5.4646682337828307e-05 0.65\n"
-     "p2 0.0090386026649857034 0.0090714213023058085 3.6043746739969427e-05 0.91\n"
-     "j_a 0.00047930756011228782 0.00046770452501644898 3.701926280271187e-05 0.31\n"
-     "j_b -0.00010586385678108457 -0.00011700791477540327 2.9651044224457329e-05 0.38\n"
-     "j_c -0.00037344370333118214 -0.00035048160852785764 6.3813867744763557e-05 0.36\n"
-     "max_z 0.91\n"),
+     "p0 0.82149277418120692 0.82154692075014457 5.2100906922392409e-05 1.04\n"
+     "p1 0.16946862315380745 0.16940583715023319 5.4655189782659651e-05 1.15\n"
+     "p2 0.0090386026649857034 0.0090472420996221357 3.2191350286302891e-05 0.27\n"
+     "j_a 0.00047930756011228782 0.000457245906150682 3.7859331965273431e-05 0.58\n"
+     "j_b -0.00010586385678108457 -0.00011101093022775071 3.4634084682176094e-05 0.15\n"
+     "j_c -0.00037344370333118214 -0.0003462349759229315 7.0667110582789974e-05 0.39\n"
+     "max_z 1.15\n"),
     (("verify", "--merge", "b,c", "--tb", "2", "--tc", "2", "--q", "20", "--lambda-off", "0.3",
       "--jumps", "50000", "--seed", "11"),
      "quantity exact estimate sigma z\n"
-     "p0 0.97593351774646597 0.97599121142553147 8.9031854127590468e-05 0.65\n"
-     "p1 0.016642501747155529 0.016584672110170756 9.9099790342889896e-05 0.58\n"
-     "p2 0.0074239805063785564 0.007424116464297777 3.9051473250883654e-05 0.00\n"
-     "j_a -0.018278498615645546 -0.018014904064085707 0.00022959274205223374 1.15\n"
-     "j_b -0.0071363637325306409 -0.0074803295705274846 0.00023912908915154995 1.44\n"
-     "j_c 0.025414862348176189 0.025488967388781692 0.00037371809733944319 0.20\n"
-     "max_z 1.44\n"),
+     "p0 0.97593351774646597 0.97585062900724928 0.00010169123015631244 0.82\n"
+     "p1 0.016642501747155529 0.016722950837049236 0.00011309437070717931 0.71\n"
+     "p2 0.0074239805063785564 0.0074264201557015285 2.973128383327241e-05 0.08\n"
+     "j_a -0.018278498615645546 -0.018340458546400512 0.00028573681117555661 0.22\n"
+     "j_b -0.0071363637325306409 -0.0072255549183145654 0.00024292864354685659 0.37\n"
+     "j_c 0.025414862348176189 0.025562743560651292 0.00043585671896421518 0.34\n"
+     "max_z 0.82\n"),
 ])
 def test_stdout_is_pinned(capsys, argv, stdout):
     # full-precision output of the README steady and verify points and three
@@ -652,8 +652,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 def test_a_run_imports_nothing_its_dump_config_did_not(tmp_path):
     # A lazy import inside a run counts in the benchmark's post-setup time.
-    # verify's first generator loads numpy.random and what it imports; that
-    # family is loaded here before verify runs, so only other imports show.
+    # No command loads numpy.random: verify's picks are its own stream.
     (tmp_path / "sweep.json").write_text(json.dumps({"sweep": {
         "axes": [{"name": "hot_temperature", "start": 1.0, "stop": 2.0, "count": 3}],
         "metrics": ["R_ab", "C"]}}))
@@ -668,11 +667,8 @@ for argv in {cases!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv + ["--dump-config"]) == 0
         before = set(sys.modules)
-        if argv[0] == "verify":
-            import numpy.random
-            assert "numpy.random" not in before
-        before = set(sys.modules)
         assert main(argv) == 0
+        assert "numpy.random" not in sys.modules, argv
     new[" ".join(argv[:2])] = sorted(set(sys.modules) - before)
 print(json.dumps(new))
 """

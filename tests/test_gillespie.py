@@ -1,4 +1,5 @@
 """Jump-process estimator tests: determinism, equilibrium, solver agreement,
+the seed contract, its pick stream against a pure-Python SplitMix64,
 bit-for-bit agreement with a jump-by-jump reference walk and across chunk
 sizes, its interval lookup and prefix scan against brute force, memory,
 and the calibration of its z-scores."""
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -23,7 +25,15 @@ from qutrit_heat import (
 )
 from qutrit_heat import steady as steady_module
 from qutrit_heat.rates import thermal_rates
-from qutrit_heat.steady import MIN_JUMPS, _compose_table, _interval_tables, _scan
+from qutrit_heat.steady import (
+    CHUNK_JUMPS,
+    MIN_JUMPS,
+    _compose_table,
+    _interval_tables,
+    _scan,
+    _stream_key,
+    _uniforms,
+)
 
 CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
 SPECTRUM = SystemConfig(circuit=CIRCUIT).spectrum
@@ -112,14 +122,75 @@ def test_reducible_chain_rejected():
         gillespie_estimate(*pinned_channels((0.0, 0.0, 0.0)), n_jumps=20_000, seed=0)
 
 
+def test_seed_must_be_a_non_negative_integer(equilibrium_channels):
+    def walk(seed):
+        return gillespie_estimate(*equilibrium_channels, n_jumps=MIN_JUMPS, seed=seed)
+
+    # checked before anything else: no rates are read, no jump is walked
+    with pytest.raises(ValueError, match="seed"):
+        gillespie_estimate(None, None, None, n_jumps=MIN_JUMPS, seed=-1)
+    for seed in (1.5, "3"):
+        with pytest.raises(TypeError):
+            walk(seed)
+    assert walk(2**70).seed == 2**70
+    assert not np.array_equal(walk(2**64 + 5).p_hat, walk(5).p_hat)
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z: int) -> int:
+    """SplitMix64's output of the state word z, in Python integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def reference_key(seed: int, n_jumps: int) -> int:
+    """The pick stream's key: the seed's 64-bit words, low word first, then
+    n_jumps, each folded in as key = splitmix64((key + GOLDEN) ^ word)."""
+    words = [seed % 2**64]
+    while seed >= 2**64:
+        seed //= 2**64
+        words.append(seed % 2**64)
+    key = 0
+    for word in [*words, n_jumps]:
+        key = splitmix64(((key + GOLDEN) % 2**64) ^ word)
+    return key
+
+
+def reference_double(key: int, k: int) -> float:
+    """Double k of the pick stream with this key, one integer at a time."""
+    return (splitmix64((key + (k + 1) * GOLDEN) % 2**64) >> 11) / 2**53
+
+
+def test_pick_stream_equals_a_pure_python_splitmix64():
+    # the first output of SplitMix64 seeded with 0, as published
+    assert splitmix64(GOLDEN) == 0xE220A8397B1DCDAF
+    n_jumps = MIN_JUMPS + 7
+    cases = [(5, n_jumps), (2**64 + 5, n_jumps), (5, n_jumps + 1), (0, n_jumps), (2**70, n_jumps)]
+    keys = [_stream_key(seed, n) for seed, n in cases]
+    assert keys == [reference_key(seed, n) for seed, n in cases]
+    assert len(set(keys)) == len(cases)
+    key, n_burn = keys[0], n_jumps // 100
+    stop = n_burn + CHUNK_JUMPS + 3  # past the burn-in and one chunk after it
+    expected = [reference_double(key, k) for k in range(stop)]
+    assert all(0.0 <= u < 1.0 for u in expected)
+    assert _uniforms(key, 0, stop).tolist() == expected
+    pieces = [_uniforms(key, a, b - a) for a, b in pairwise((0, n_burn, n_burn + CHUNK_JUMPS, stop))]
+    assert np.concatenate(pieces).tolist() == expected
+    assert _uniforms(key, 2**40, 3).tolist() == [reference_double(key, 2**40 + k) for k in range(3)]
+
+
 def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
     """The jump-by-jump walk gillespie_estimate must reproduce bit for bit:
-    (p_hat, sigma_p, j_hat, sigma_j), one Python iteration per jump. Its
-    rates are thermal_rates of the same inputs; outcomes are listed channel
-    by channel (a, b, c), then by target state. Each jump waits its mean
-    time, 1 / exit rate, so a batch's time in a state is its visits there
-    over the state's exit rate; its heat out of bath l is omega10 m_l1 +
-    omega20 m_l2, m_ls its jumps into s through l less those out of s."""
+    (p_hat, sigma_p, j_hat, sigma_j), one Python iteration per jump, each
+    pick a reference_double. Its rates are thermal_rates of the same inputs;
+    outcomes are listed channel by channel (a, b, c), then by target state.
+    Each jump waits its mean time, 1 / exit rate, so a batch's time in a
+    state is its visits there over the state's exit rate; its heat out of
+    bath l is omega10 m_l1 + omega20 m_l2, m_ls its jumps into s through l
+    less those out of s."""
     batches = 50
     up, down = thermal_rates(freqs, prefactors, temperatures)
     energies = (0.0, float(freqs[0, 0]), float(freqs[0, 2]))
@@ -144,16 +215,14 @@ def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
 
     n_burn = n_jumps // 100
     total_jumps = n_burn + n_jumps
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rng.random(total_jumps)  # the picks are the second block of doubles
-    u_pick = rng.random(total_jumps).tolist()
+    key = reference_key(seed, n_jumps)
 
     visits = np.zeros((batches, 3), dtype=np.int64)
     net = np.zeros((batches, 3, 3), dtype=np.int64)  # (batch, channel, level)
 
     state = 0
     for k in range(total_jumps):
-        u = u_pick[k]
+        u = reference_double(key, k)
         target = state
         ci = 0
         for cum, j, c in outcomes[state]:

@@ -490,7 +490,7 @@ class TestStream:
         s = STREAMED_SPECS["flux"]
         outer, inner = (ax.values() for ax in s.axes)
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 4)
-        assert [len(b) for b in sweep._blocks(s)] == [4, 4, 4, 3]
+        assert [len(b[0]) for b in sweep._blocks(s)] == [4, 4, 4, 3]
         assert s.grid() == [(u, v) for u in outer for v in inner]
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
