@@ -12,7 +12,6 @@ from .circuit import (
     CircuitParams,
     QutritSpectrum,
     derive_spectrum,
-    filter_width_advisories,
 )
 from .errors import (
     AmbiguousExtremum,
@@ -74,7 +73,6 @@ __all__ = [
     "circulation",
     "classify_regime",
     "derive_spectrum",
-    "filter_width_advisories",
     "gillespie_estimate",
     "ideal_current_amplitude",
     "preset",

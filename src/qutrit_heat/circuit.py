@@ -9,14 +9,13 @@ lambda*hbar*omega_r**2. There is deliberately no SI conversion layer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import cos, inf, sqrt
 
 from .errors import InvalidFlux, NonPositiveFrequency
 
 # Below e_j/e_c = 5 the perturbative two-band treatment of the anharmonic
-# well starts to degrade; warn, do not fail.
+# well starts to degrade; SystemConfig.advisories notes it, nothing fails.
 TRANSMON_RATIO_ADVISORY = 5.0
 
 
@@ -45,13 +44,6 @@ class CircuitParams:
         if cos(self.phi / 3.0) <= 0:
             raise InvalidFlux(
                 f"cos(phi/3) <= 0 for phi={self.phi}; no stable well"
-            )
-        if self.e_j < TRANSMON_RATIO_ADVISORY * self.e_c:
-            warnings.warn(
-                f"e_j/e_c = {self.e_j / self.e_c:.2f} is below "
-                f"{TRANSMON_RATIO_ADVISORY}; perturbative spectrum may be "
-                "inaccurate",
-                stacklevel=2,
             )
 
 
@@ -118,27 +110,3 @@ def derive_spectrum(params: CircuitParams) -> QutritSpectrum:
         omega20=omega10 + omega21,
         omega32=omega32,
     )
-
-
-def filter_width_advisories(
-    spectrum: QutritSpectrum,
-    resonators: dict[str, tuple[float, float]],
-) -> list[str]:
-    """Advisory check that resonator linewidths respect the level structure.
-
-    resonators maps a channel label to (omega_l, Q_l). A resonator of width
-    omega_l/Q_l wider than the omega21 - omega32 gap starts driving the 2<->3
-    transition, which the three-level description ignores. Returns warning
-    strings; empty list when all widths are safe.
-    """
-    gap = spectrum.omega21 - spectrum.omega32
-    notes = []
-    for label, (omega_l, q) in sorted(resonators.items()):
-        width = omega_l / q
-        if width > gap:
-            notes.append(
-                f"channel {label}: linewidth omega_l/Q = {width:.4g} exceeds "
-                f"the omega21 - omega32 gap {gap:.4g}; levels above the "
-                "qutrit would be populated"
-            )
-    return notes

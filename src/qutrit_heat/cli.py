@@ -5,8 +5,10 @@ Three commands share one flat configuration: `steady` solves a single point,
 `verify` cross-checks the linear solve against the jump-process estimator.
 Configuration comes from a JSON file (--config) whose keys mirror the flags;
 a flag always wins over the file. Each distinct UserWarning of a command,
-such as a linewidth advisory (SystemConfig.advisories, which the sweep
-engine checks for a sweep), prints once as an `advisory:` line on stderr.
+such as an advisory of SystemConfig.advisories (main's for steady and
+verify, the sweep engine's for a sweep), prints once as an `advisory:` line
+on stderr; none prints with --dump-config, nor when the configuration is
+invalid or --out cannot be opened.
 Exit codes: 0 ok, 2 invalid configuration or an --out path that cannot be
 written, 3 solver failure, 4 verification mismatch.
 """

@@ -338,6 +338,7 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     """
     if operator.index(seed) < 0:  # TypeError for a non-integer
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    n_jumps = operator.index(n_jumps)  # likewise
     if n_jumps < MIN_JUMPS:
         raise ValueError(f"n_jumps must be at least {MIN_JUMPS}, got {n_jumps}")
     if len(freqs) != 1:

@@ -5,6 +5,7 @@ system configuration. Every grid point is independent; per-point failures
 (invalid flux, undefined coefficients, degenerate classifications) are
 recorded in the row's flags column and never abort the run. Row order is the
 row-major order of the grid regardless of how many workers evaluate it.
+Each advisory (SystemConfig.advisories) warns once per sweep, in the calling process.
 
 No metric is defined here: the scenarios and formulas of R_ll', R2 and C
 are transport.metric_scenarios and transport.metric_values, and the regime
@@ -124,7 +125,9 @@ class SweepSpec:
         for m in self.metrics:
             if m not in METRIC_COLUMNS + _NOOP_METRICS:
                 raise ValueError(f"unknown metric {m!r}")
-        if isinstance(self.passive, str):
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ValueError("metrics must be distinct")
+        if isinstance(self.passive, (str, bool)):
             if self.passive not in ("base", "mean"):
                 raise ValueError('passive must be "base", "mean", or a temperature')
         elif not 0 <= float(self.passive) < inf:
@@ -291,20 +294,19 @@ def _evaluate_block(spec: SweepSpec, values: tuple[list[float], ...]) -> list[li
 
 
 def _evaluated(spec: SweepSpec, workers: int = 1):
-    """Every sweep's one evaluation path: it warns each linewidth advisory at
-    the lowest Q the sweep uses (its Q axis's start, else the configuration's
-    q) as a UserWarning at the sweep's caller, then returns the columns of
-    each block (_evaluate_block) in grid order, as a lazy map in this process
-    (a stream holds one block at a time) or as the list from a pool of
-    `workers` processes, which takes the blocks as at most `workers` runs of
-    contiguous blocks."""
+    """Every sweep's one evaluation path: it warns each advisory of the
+    configuration (SystemConfig.advisories) at the lowest Q the sweep uses
+    (its Q axis's start, else the configuration's q) once, in this process,
+    as a UserWarning at the sweep's caller, then returns the columns of each
+    block (_evaluate_block) in grid order, as a lazy map in this process (a
+    stream holds one block at a time) or as the list from a pool of `workers`
+    processes, which takes the blocks in at most `workers` contiguous runs."""
     q_min = None  # the configuration's Q
     for ax in spec.axes:
         if ax.name in ("quality_factor", "log10_quality_factor"):
             q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
-    with suppress(QutritHeatError):  # a config without a spectrum flags every row instead
-        for note in spec.config.advisories(q_min):
-            warnings.warn(note, stacklevel=3)
+    for note in spec.config.advisories(q_min):
+        warnings.warn(note, stacklevel=3)
     evaluate = partial(_evaluate_block, spec)
     if workers <= 1:
         return map(evaluate, _blocks(spec))
@@ -318,9 +320,9 @@ def _evaluated(spec: SweepSpec, workers: int = 1):
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the grid in blocks of BLOCK_POINTS points, in this process
     or on a pool of `workers` processes; output order is independent of
-    both. The resonator linewidths at the lowest Q the sweep uses are
-    checked against the level structure (SystemConfig.advisories) and each
-    advisory is a UserWarning.
+    both. Each advisory of the configuration (SystemConfig.advisories: the
+    e_j/e_c note, then the resonator linewidths at the lowest Q the sweep
+    uses) is one UserWarning, the same at every worker count.
     """
     return SweepResult(columns=spec.columns, rows=tuple(
         chain.from_iterable(zip(*block) for block in _evaluated(spec, workers))))

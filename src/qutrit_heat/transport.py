@@ -24,8 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuit import CircuitParams, QutritSpectrum, derive_spectrum, filter_width_advisories
-from .errors import AmbiguousExtremum, ReducibleChain, UndefinedCoefficient
+from .circuit import TRANSMON_RATIO_ADVISORY, CircuitParams, QutritSpectrum, derive_spectrum
+from .errors import AmbiguousExtremum, QutritHeatError, ReducibleChain, UndefinedCoefficient
 from .rates import CHANNEL_IDS, channel_prefactors
 from .steady import SteadyState, failure_codes, solve_scenarios
 
@@ -60,9 +60,10 @@ class HeatCurrents:
 class TemperatureScenario:
     """Temperature assignment for one run.
 
-    Baths listed in hot sit at hot_temperature, the rest at base, except for
-    explicit per-bath overrides (stored sorted, so scenarios hash and compare
-    by value). All resulting temperatures must be finite and non-negative.
+    Baths listed in hot (a string is one bath id) sit at hot_temperature,
+    the rest at base, except for explicit per-bath overrides (stored sorted,
+    so scenarios hash and compare by value). All resulting temperatures must
+    be finite and non-negative.
     """
 
     hot: frozenset[str] = frozenset()
@@ -71,7 +72,7 @@ class TemperatureScenario:
     overrides: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hot", frozenset(self.hot))
+        object.__setattr__(self, "hot", frozenset({self.hot} if isinstance(self.hot, str) else self.hot))
         object.__setattr__(self, "overrides", tuple(sorted(dict(self.overrides).items())))
         temps = [self.base, self.hot_temperature] + [t for _, t in self.overrides]
         if not all(0 <= t < inf for t in temps):
@@ -142,12 +143,24 @@ class SystemConfig:
         return {"a": spec.omega10, "b": spec.omega21, "c": spec.omega20}[cid]
 
     def advisories(self, q: float | None = None) -> list[str]:
-        """The resonator-linewidth advisories (circuit.filter_width_advisories)
-        of the three channels at quality factor q, by default the config's.
-        Raises the spectrum's error where the spectrum does not derive."""
-        q = self.q if q is None else q
-        return filter_width_advisories(
-            self.spectrum, {cid: (self.resonator_frequency(cid), q) for cid in CHANNEL_IDS})
+        """Every advisory: the e_j/e_c ratio below TRANSMON_RATIO_ADVISORY,
+        then each channel whose linewidth omega_l/Q at quality factor q (by
+        default the config's) exceeds the omega21 - omega32 gap above the
+        qutrit; the e_j/e_c note alone where the spectrum does not derive."""
+        e_j, e_c = self.circuit.e_j, self.circuit.e_c
+        notes = [f"e_j/e_c = {e_j / e_c:.2f} is below {TRANSMON_RATIO_ADVISORY}; perturbative "
+                 "spectrum may be inaccurate"] if e_j < TRANSMON_RATIO_ADVISORY * e_c else []
+        try:
+            gap = self.spectrum.omega21 - self.spectrum.omega32
+        except QutritHeatError:
+            return notes
+        for cid in CHANNEL_IDS:
+            width = self.resonator_frequency(cid) / (self.q if q is None else q)
+            if width > gap:
+                notes.append(f"channel {cid}: linewidth omega_l/Q = {width:.4g} exceeds the "
+                             f"omega21 - omega32 gap {gap:.4g}; levels above the qutrit would "
+                             "be populated")
+        return notes
 
     def kernel_frequencies(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Transition (omega10, omega21, omega20) and resonator (a, b, c)

@@ -9,6 +9,7 @@ inline as a second guard.
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -19,8 +20,8 @@ from qutrit_heat import (
     InvalidFlux,
     NonPositiveFrequency,
     QutritSpectrum,
+    SystemConfig,
     derive_spectrum,
-    filter_width_advisories,
 )
 
 # mpmath oracle: omega0 = sqrt(8 * (3/2) e_j cos(phi/3) * e_c), levels shifted
@@ -117,10 +118,12 @@ def test_invalid_flux_rejected():
 
 
 def test_deep_anharmonic_spectrum_rejected():
-    with pytest.warns(UserWarning):
-        params = CircuitParams(e_j=0.3, e_c=1.0, phi=0.0)
+    params = CircuitParams(e_j=0.3, e_c=1.0, phi=0.0)
     with pytest.raises(NonPositiveFrequency):
         derive_spectrum(params)
+    # the advisories still give the e_j/e_c note, and raise nothing
+    assert SystemConfig(circuit=params).advisories() == [
+        "e_j/e_c = 0.30 is below 5.0; perturbative spectrum may be inaccurate"]
 
 
 def test_parameter_validation():
@@ -128,8 +131,13 @@ def test_parameter_validation():
         CircuitParams(e_j=0.0, e_c=0.5)
     with pytest.raises(ValueError):
         CircuitParams(e_j=5.0, e_c=-0.1)
-    with pytest.warns(UserWarning, match="e_j/e_c"):
-        CircuitParams(e_j=2.0, e_c=0.5)
+    # a low e_j/e_c is an advisory of the configuration, not a warning here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        low = CircuitParams(e_j=2.0, e_c=0.5)
+        CircuitParams(e_j=3.0, e_c=1.0)
+    assert caught == []
+    assert SystemConfig(circuit=low).advisories()[0].startswith("e_j/e_c = 4.00 is below 5.0")
 
 
 def test_spectrum_invariant_validation():
@@ -143,7 +151,21 @@ def test_spectrum_invariant_validation():
 
 
 def test_filter_width_advisory_flags_low_q():
-    s = derive_spectrum(CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2))
-    notes = filter_width_advisories(s, {"b": (s.omega21, 10.0)})
-    assert len(notes) == 1 and "channel b" in notes[0]
-    assert filter_width_advisories(s, {"b": (s.omega21, 100.0)}) == []
+    cfg = SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2))
+    s, notes = cfg.spectrum, cfg.advisories(10.0)
+    # gap 0.375: every linewidth at Q = 10 exceeds it, none at Q = 100
+    assert [n.split(":")[0] for n in notes] == ["channel a", "channel b", "channel c"]
+    assert notes[1] == (f"channel b: linewidth omega_l/Q = {s.omega21 / 10:.4g} exceeds the "
+                        f"omega21 - omega32 gap {s.omega21 - s.omega32:.4g}; levels above "
+                        "the qutrit would be populated")
+    assert cfg.advisories(100.0) == cfg.advisories() == []
+    pinned = SystemConfig(circuit=cfg.circuit, resonators=(("b", s.omega21 / 4),))
+    assert [n.split(":")[0] for n in pinned.advisories(10.0)] == ["channel a", "channel c"]
+
+
+def test_advisories_give_the_ratio_note_first():
+    cfg = SystemConfig(circuit=CircuitParams(e_j=3.0, e_c=1.0), q=10.0)
+    notes = cfg.advisories()
+    assert notes[0] == "e_j/e_c = 3.00 is below 5.0; perturbative spectrum may be inaccurate"
+    assert len(notes) > 1 and all(n.startswith("channel ") for n in notes[1:])
+    assert SystemConfig(circuit=CircuitParams(e_j=1.0, e_c=0.0)).advisories() == []

@@ -378,6 +378,7 @@ def small_sweep_axis(**changes) -> dict:
                "scenario": {"hot": ["a"], "base": 0.9, "hott": 3}, "metric": ["C"]}, "sweep"),
     ("sweep", small_sweep_axis(cuont=50), "sweep.axes[0]"),
     ("sweep", dict(SMALL_SWEEP, scenario={"hot": ["a"], "hott": 3}), "sweep.scenario"),
+    ("sweep", dict(SMALL_SWEEP, metrics=["C", "C"]), "sweep"),  # duplicate CSV columns
 ])
 def test_sweep_section_follows_the_top_level_value_rule(tmp_path, capsys, command, section, field):
     # float(), int(), bool() or frozenset() would make each of these run
@@ -505,7 +506,7 @@ class TestVerify:
 
 @pytest.mark.parametrize("command", ["steady", "verify"])
 def test_circuit_note_is_an_advisory_line(command):
-    # the e_j/e_c < 5 note of CircuitParams, as sweep prints it, not a raw UserWarning
+    # the e_j/e_c < 5 note of SystemConfig.advisories, as sweep prints it, not a raw UserWarning
     argv = [sys.executable, "-m", "qutrit_heat.cli", command, "--ej", "3", "--ec", "1",
             "--jumps", "10000"]
     proc = subprocess.run(argv, capture_output=True, text=True)
@@ -513,6 +514,25 @@ def test_circuit_note_is_an_advisory_line(command):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("advisory: e_j/e_c = 3.00"), proc.stderr
     assert "UserWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("steady", "--dump-config"),
+    ("verify", "--jumps", "10000", "--dump-config"),
+    ("sweep", "--preset", "fig3", "--dump-config"),
+    ("sweep", "--preset", "fig7c", "--q", "5", "--dump-config"),
+    ("sweep", "--preset", "fig3", "--out", "missing/x.csv"),
+    ("sweep", "--preset", "fig3", "--q", "5", "--out", "missing/x.csv"),
+])
+def test_no_advisory_without_a_run(tmp_path, monkeypatch, capsys, argv):
+    # at e_j/e_c = 3 every run prints the note (test_circuit_note_is_an_advisory_line),
+    # but a dump or an --out that cannot be opened runs nothing
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--ej", "3", "--ec", "1")
+    assert code == (0 if "--dump-config" in argv else 2)
+    assert advisories(err) == [], err
+    if code == 2:
+        assert out == "" and err.startswith("error: out: cannot write missing/x.csv: "), err
 
 
 README_POINT = ("--ej", "5", "--ec", "0.5", "--flux", "1.5708", "--q", "100",

@@ -136,6 +136,20 @@ def test_seed_must_be_a_non_negative_integer(equilibrium_channels):
     assert not np.array_equal(walk(2**64 + 5).p_hat, walk(5).p_hat)
 
 
+def test_numpy_integers_are_integers(equilibrium_channels):
+    def walk(n_jumps, seed):
+        e = gillespie_estimate(*equilibrium_channels, n_jumps=n_jumps, seed=seed)
+        return e.p_hat, e.sigma_p, e.j_hat, e.sigma_j
+
+    reference = walk(20_000, 3)
+    for n_jumps, seed in ((np.int64(20_000), 3), (np.uint32(20_000), 3), (20_000, np.int64(3))):
+        assert all(np.array_equal(a, b) for a, b in zip(walk(n_jumps, seed), reference))
+    # a float count is no jump count, checked before any rate is read
+    for n_jumps in (1e5, 20000.0):
+        with pytest.raises(TypeError):
+            gillespie_estimate(None, None, None, n_jumps=n_jumps, seed=3)
+
+
 GOLDEN = 0x9E3779B97F4A7C15
 
 

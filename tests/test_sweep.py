@@ -125,6 +125,30 @@ class TestSpecValidation:
         spec(ax, cfg=config(merged=("b", "c")),
              scenario=TemperatureScenario(hot=frozenset({"bc"}), overrides=(("a", 2.0),)))
 
+    def test_a_string_hot_is_one_bath(self):
+        ax = (SweepAxis("hot_temperature", 1.0, 2.0, 3),)
+        merged = config(merged=("b", "c"))
+        as_string = run_sweep(spec(ax, cfg=merged, scenario=TemperatureScenario(hot="bc")))
+        as_set = run_sweep(spec(ax, cfg=merged, scenario=TemperatureScenario(hot=frozenset({"bc"}))))
+        assert TemperatureScenario(hot="bc").hot == frozenset({"bc"})
+        assert as_string == as_set and all(not row[-1] for row in as_set.rows)
+        assert TemperatureScenario(hot="a") == TemperatureScenario(hot=frozenset({"a"}))
+        with pytest.raises(ValueError, match="not one of the baths"):
+            spec(ax, scenario=TemperatureScenario(hot="ab"))  # not two baths
+
+    def test_metrics_must_be_distinct(self):
+        ax = (SweepAxis("hot_temperature", 1.0, 2.0, 2),)
+        for metrics in (("C", "C"), ("R_ab", "C", "R_ab"), ("regime", "regime")):
+            with pytest.raises(ValueError, match="metrics must be distinct"):
+                spec(ax, metrics=metrics)
+        assert spec(ax, metrics=("R_ab", "C")).metric_columns == ("R_ab", "C")
+
+    @pytest.mark.parametrize("passive", [True, False])
+    def test_boolean_passive_rejected(self, passive):
+        # as SweepAxis rejects a boolean count: True is not the temperature 1.0
+        with pytest.raises(ValueError, match="passive must be"):
+            spec((SweepAxis("hot_temperature", 1.0, 2.0, 2),), metrics=("R_ab",), passive=passive)
+
 
 class TestGrid:
     def test_row_major_order(self):
@@ -301,9 +325,12 @@ class TestQSweep:
             run_sweep(spec((SweepAxis("hot_temperature", 1.0, 2.0, 2),), cfg=config(q=8.0)))
 
     def test_advisory_skips_a_config_without_spectrum(self):
-        with pytest.warns(UserWarning, match="e_j/e_c"):
-            deep = config(circuit=CircuitParams(e_j=0.3, e_c=1.0, phi=0.0))
-        res = run_sweep(spec((SweepAxis("quality_factor", 8.0, 100.0, 2),), cfg=deep))
+        deep = config(circuit=CircuitParams(e_j=0.3, e_c=1.0, phi=0.0))
+        # the e_j/e_c note alone: no linewidth is checked against a missing spectrum
+        res, notes = recorded(lambda: run_sweep(spec((SweepAxis("quality_factor", 8.0, 100.0, 2),),
+                                                     cfg=deep)))
+        assert [message for message, _ in notes] == deep.advisories() == [
+            "e_j/e_c = 0.30 is below 5.0; perturbative spectrum may be inaccurate"]
         flags = [r[res.columns.index("flags")] for r in res.rows]
         assert flags == ["error:NonPositiveFrequency"] * 2
 
@@ -442,8 +469,9 @@ class TestCsv:
 
 
 #: A map with undefined cells on its base == hot diagonal, a flux x Q sweep
-#: with InvalidFlux rows and linewidth advisories, and a merged-bath sweep
-#: whose three-bath metrics are error cells.
+#: with InvalidFlux rows and linewidth advisories, a merged-bath sweep whose
+#: three-bath metrics are error cells, a fixed low Q, and a flux sweep at
+#: e_j/e_c = 3, with the e_j/e_c advisory and NonPositiveFrequency rows.
 STREAMED_SPECS = {
     "diagonal": spec((SweepAxis("base_temperature", 0.5, 2.0, 4),
                       SweepAxis("hot_temperature", 0.5, 2.0, 4)), metrics=("R_ab", "R_bc", "C")),
@@ -454,6 +482,8 @@ STREAMED_SPECS = {
     "fixed_low_q": spec((SweepAxis("base_temperature", 0.5, 2.0, 4),
                          SweepAxis("hot_temperature", 0.5, 2.0, 4)), metrics=("R_ab", "C"),
                         cfg=config(q=4.0)),
+    "low_ratio": spec((SweepAxis("flux", 0.0, 4.5, 10),), metrics=("C",),
+                      cfg=config(circuit=CircuitParams(e_j=3.0, e_c=1.0))),
 }
 
 
@@ -479,7 +509,12 @@ class TestStream:
             assert buf.getvalue() == reference, block_points
             assert counts == (len(result.rows), result.undefined_count(), result.error_count())
             assert streamed_advisories == advisories
-        assert bool(advisories) == (name in ("flux", "fixed_low_q"))
+            pooled, pooled_advisories = recorded(lambda: run_sweep(s, workers=2))
+            assert pooled == result and pooled_advisories == advisories, block_points
+        assert bool(advisories) == (name in ("flux", "fixed_low_q", "low_ratio"))
+        if name == "low_ratio":  # once per sweep, not once per flux value
+            assert [message for message, _ in advisories] == [
+                "e_j/e_c = 3.00 is below 5.0; perturbative spectrum may be inaccurate"]
 
     def test_a_path_gets_the_same_bytes(self, tmp_path):
         s = STREAMED_SPECS["diagonal"]
