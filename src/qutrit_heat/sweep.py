@@ -11,7 +11,9 @@ No metric is defined here: the scenarios and formulas of R_ll', R2 and C
 are transport.metric_scenarios and transport.metric_values, and the regime
 labels transport.regimes. Each block of grid points is one kernel call on
 every valid point (one whose spectrum derives) at each distinct scenario
-template: valid points x templates scenarios.
+template: valid points x templates scenarios. What every block shares is
+planned once per sweep (_plan), and the CSV stream formats every 32 rows
+with one %-format (_block_text).
 """
 
 from __future__ import annotations
@@ -193,12 +195,21 @@ def _blocks(spec: SweepSpec):
             yield (inner[start:stop],)
 
 
-def _templates(spec: SweepSpec):
-    """Distinct channel-temperature templates of a grid point's scenarios,
-    the base scenario first (the sweep's one repeat rule), and per metric
-    defined on the config the indices of its transport.metric_scenarios. A
-    template gives channel a, b and c "base", "hot", "mean" or a number."""
-    cfg, scen = spec.config, spec.scenario
+def _at_flux(spec: SweepSpec, phi: float) -> SystemConfig:
+    """The configuration at flux phi, re-pinned unless spec.repin_resonators is false."""
+    return replace(spec.config, circuit=replace(spec.config.circuit, phi=phi),
+                   resonators=() if spec.repin_resonators else spec.config.resonators)
+
+
+def _plan(spec: SweepSpec):
+    """What every block shares: the distinct channel-temperature templates of
+    a grid point's scenarios, each channel a, b and c "base", "hot", "mean"
+    or a number, the base scenario first (the sweep's one repeat rule); per
+    metric defined on the config the template indices of its
+    transport.metric_scenarios; each bath's channels; and, if only
+    temperature axes vary and the spectrum derives, the kernel's (1, 3)
+    frequencies and (1, 3, 3) channel_prefactors, else None."""
+    cfg, scen, system = spec.config, spec.scenario, None
     passive = spec.passive if isinstance(spec.passive, str) else float(spec.passive)
     templates = [tuple(scen.source(cfg.bath_of(c)) for c in CHANNEL_IDS)]
     metrics = {}
@@ -207,14 +218,21 @@ def _templates(spec: SweepSpec):
             scenarios = metric_scenarios(name, passive, cfg.merged)
             templates += [t for t in scenarios if t not in templates]
             metrics[name] = [templates.index(t) for t in scenarios]
-    return templates, metrics
+    if {ax.name for ax in spec.axes} <= {"base_temperature", "hot_temperature"}:
+        with suppress(QutritHeatError, ValueError, ArithmeticError):  # each block flags it
+            freqs, omega_l = (np.array([f]) for f in cfg.kernel_frequencies())
+            system = freqs, channel_prefactors(freqs, omega_l, cfg.q, cfg.lambda_res, cfg.lambda_off)
+    members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in cfg.bath_ids()]
+    return templates, metrics, members, system
 
 
-def _evaluate_block(spec: SweepSpec, values: tuple[list[float], ...]) -> list[list]:
+def _evaluate_block(spec: SweepSpec, plan, values: tuple[list[float], ...]) -> list[list]:
     """Columns of a block (_blocks), one list per entry of spec.columns, from
-    one kernel call on the table of (valid point, template) scenarios; each flux
-    value's spectrum once. A row's error stays an index into `kinds`
-    (FAILURE_KINDS, then the spectrum errors) until it is written."""
+    one kernel call on the table of (valid point, template) scenarios, with
+    the planned system's inputs (_plan) broadcast, else each flux value's
+    spectrum once. A row's error stays an index into `kinds` (FAILURE_KINDS,
+    then the spectrum errors) until it is written."""
+    templates, metric_slots, members, system = plan
     n, cfg, scen = len(values[0]), spec.config, spec.scenario
     axis = {ax.name: v for ax, v in zip(spec.axes, values)}
     if "log10_quality_factor" in axis:
@@ -223,24 +241,21 @@ def _evaluate_block(spec: SweepSpec, values: tuple[list[float], ...]) -> list[li
         np.array(axis.get(key, [default] * n), dtype=float)
         for key, default in (("base_temperature", scen.base), ("hot_temperature", scen.hot_temperature),
                              ("quality_factor", cfg.q), ("lambda_off", cfg.lambda_off)))
-    distinct = {} if "flux" in axis else {None: 0}  # flux -> its position, then (frequencies, error)
-    index = ([distinct.setdefault(phi, len(distinct)) for phi in axis["flux"]] if "flux" in axis
-             else np.zeros(n, dtype=int))
-    kinds = list(FAILURE_KINDS)
-    for phi in distinct:
-        try:
-            point_cfg = cfg if phi is None else replace(
-                cfg, circuit=CircuitParams(e_j=cfg.circuit.e_j, e_c=cfg.circuit.e_c, phi=phi),
-                resonators=() if spec.repin_resonators else cfg.resonators)
-            distinct[phi] = point_cfg.kernel_frequencies(), 0
-        except (QutritHeatError, ValueError, ArithmeticError) as exc:
-            kinds.append(type(exc).__name__)
-            distinct[phi] = np.ones((2, 3)), len(kinds) - 1
-    frequencies, error = zip(*distinct.values())
-    freqs, omega_l = np.array(frequencies)[index].transpose(1, 0, 2)
-    error = np.array(error)[index]
+    kinds, error = list(FAILURE_KINDS), np.zeros(n, dtype=int)
+    if system is None:
+        distinct = {}  # flux (None: the configuration's) -> its position, then (frequencies, error)
+        index = [distinct.setdefault(phi, len(distinct)) for phi in axis.get("flux", [None] * n)]
+        for phi in distinct:
+            try:
+                distinct[phi] = (cfg if phi is None else _at_flux(spec, phi)).kernel_frequencies(), 0
+            except (QutritHeatError, ValueError, ArithmeticError) as exc:
+                kinds.append(type(exc).__name__)
+                distinct[phi] = np.ones((2, 3)), len(kinds) - 1
+        frequencies, error = zip(*distinct.values())
+        freqs, omega_l = np.array(frequencies)[index].transpose(1, 0, 2)
+        error = np.array(error)[index]
+        pref = channel_prefactors(freqs, omega_l, q[:, None], cfg.lambda_res, lambda_off[:, None])
 
-    templates, metric_slots = _templates(spec)
     sources = {"base": base, "hot": hot, "mean": 0.5 * (base + hot)}
     temps = np.stack([np.stack([sources[s] if isinstance(s, str) else np.full(n, s) for s in t],
                                axis=1) for t in templates], axis=1)  # (point, slot, channel)
@@ -251,19 +266,17 @@ def _evaluate_block(spec: SweepSpec, values: tuple[list[float], ...]) -> list[li
     point = np.repeat(valid, len(templates))
     table = np.zeros((n, len(templates)), dtype=int)  # (point, slot) -> scenario
     table[valid] = np.arange(point.size).reshape(valid.size, -1)
-    pref = channel_prefactors(freqs, omega_l, q[:, None], cfg.lambda_res, lambda_off[:, None])
-    p, residual, connected, j, scale = solve_scenarios(freqs[point], pref[point],
-                                                       temps[valid].reshape(-1, 3))
+    inputs = (freqs[point], pref[point]) if system is None else (
+        np.broadcast_to(a, (point.size, *a.shape[1:])) for a in system)
+    p, residual, connected, j, scale = solve_scenarios(*inputs, temps[valid].reshape(-1, 3))
     failure = failure_codes(residual, connected, j, scale)
 
     rows = table[:, 0]
     error = np.where(error == 0, failure[rows], error)
     ok = error == 0
-    baths = cfg.bath_ids()
-    members = [[c for c in CHANNEL_IDS if cfg.bath_of(c) == b] for b in baths]
     bath_t = temps[:, 0, [CHANNEL_IDS.index(m[0]) for m in members]]
     bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
-    regime = regimes(baths, bath_t, np.where(ok[:, None], bath_j, 0.0))[0]  # an error row: none
+    regime = regimes(cfg.bath_ids(), bath_t, np.where(ok[:, None], bath_j, 0.0))[0]  # an error row: none
     flags = {k: ["error:AmbiguousExtremum"] for k, label in enumerate(regime) if label is None}
     cells = []
     for name in spec.metric_columns:
@@ -294,20 +307,25 @@ def _evaluate_block(spec: SweepSpec, values: tuple[list[float], ...]) -> list[li
 
 
 def _evaluated(spec: SweepSpec, workers: int = 1):
-    """Every sweep's one evaluation path: it warns each advisory of the
-    configuration (SystemConfig.advisories) at the lowest Q the sweep uses
-    (its Q axis's start, else the configuration's q) once, in this process,
-    as a UserWarning at the sweep's caller, then returns the columns of each
-    block (_evaluate_block) in grid order, as a lazy map in this process (a
-    stream holds one block at a time) or as the list from a pool of `workers`
-    processes, which takes the blocks in at most `workers` contiguous runs."""
-    q_min = None  # the configuration's Q
+    """Every sweep's one evaluation path. It warns each advisory
+    (SystemConfig.advisories) once, in this process, at the sweep's caller:
+    at the lowest Q it uses and at its flux value of smallest |phi|, where
+    every re-pinned resonator is highest (the gap, 0.75 e_c, does not depend
+    on flux). It then plans the sweep (_plan) and returns the blocks' columns
+    (_evaluate_block) in grid order: a lazy map in this process, or the list
+    from a pool of `workers` processes, in at most `workers` contiguous runs."""
+    cfg, q_min = spec.config, None  # the configuration's flux and Q
     for ax in spec.axes:
         if ax.name in ("quality_factor", "log10_quality_factor"):
             q_min = ax.start if ax.name == "quality_factor" else 10.0 ** ax.start
-    for note in spec.config.advisories(q_min):
+        elif ax.name == "flux":
+            try:
+                cfg = _at_flux(spec, min(ax.values(), key=abs))
+            except QutritHeatError:  # no axis value has a circuit: the e_j/e_c note alone
+                cfg = None
+    for note in spec.config.advisories(inf) if cfg is None else cfg.advisories(q_min):
         warnings.warn(note, stacklevel=3)
-    evaluate = partial(_evaluate_block, spec)
+    evaluate = partial(_evaluate_block, spec, _plan(spec))
     if workers <= 1:
         return map(evaluate, _blocks(spec))
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
@@ -321,29 +339,53 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the grid in blocks of BLOCK_POINTS points, in this process
     or on a pool of `workers` processes; output order is independent of
     both. Each advisory of the configuration (SystemConfig.advisories: the
-    e_j/e_c note, then the resonator linewidths at the lowest Q the sweep
-    uses) is one UserWarning, the same at every worker count.
+    e_j/e_c note, then the resonator linewidths at the lowest Q and |phi|
+    the sweep uses) is one UserWarning, the same at every worker count.
     """
     return SweepResult(columns=spec.columns, rows=tuple(
         chain.from_iterable(zip(*block) for block in _evaluated(spec, workers))))
 
 
+def _template(row) -> str:
+    """A row's CSV line template: a float cell as %.17g, None as an empty
+    field, any other cell as %s, comma-joined and ended by a line feed."""
+    return ",".join("" if c is None else "%.17g" if isinstance(c, float) else "%s"
+                    for c in row) + "\n"
+
+
 def _line_formatter():
-    """The CSV line of a row: a float cell as %.17g, any other cell as str()
-    and None as an empty field, joined by commas and ended by a line feed.
-    Each line is one %-format of a template cached per row of cell types."""
+    """The CSV line of a row: one %-format of its _template, cached per row
+    of cell types, with the None cells dropped."""
     templates: dict[tuple[type, ...], tuple[str, bool]] = {}
 
     def line(row: tuple) -> str:
         types = tuple(map(type, row))
         if types not in templates:
-            cells = ("" if t is NoneType else "%.17g" if issubclass(t, float) else "%s"
-                     for t in types)
-            templates[types] = ",".join(cells) + "\n", NoneType in types
+            templates[types] = _template(row), NoneType in types
         template, sparse = templates[types]
         return template % (tuple(c for c in row if c is not None) if sparse else row)
 
     return line
+
+
+def _block_text(columns: list[list], full: str) -> list[str]:
+    """The lines "".join(map(_line_formatter(), zip(*columns))) gives, as one
+    string per 32 rows, where full is the _template of a row without a None
+    cell. The cells are interleaved into one flat list by slice assignment,
+    a row with a None cell taking the _template of its cells with "" for
+    None, and each 32 rows are one %-format: formatting a whole block at
+    once grows its text by reallocation, which raised peak RSS by 0.3 MB."""
+    width, n = len(columns), len(columns[0])
+    cells = [None] * (width * n)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
+    templates = [full] * n
+    for k in {k for column in columns if None in column for k, c in enumerate(column) if c is None}:
+        row = ["" if c is None else c for c in cells[k * width:(k + 1) * width]]
+        cells[k * width:(k + 1) * width] = row
+        templates[k] = _template(row)
+    return ["".join(templates[k:k + 32]) % tuple(cells[k * width:(k + 32) * width])
+            for k in range(0, n, 32)]
 
 
 def _opened(destination):
@@ -367,30 +409,28 @@ def write_csv(result: SweepResult, destination) -> None:
 
 def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
     """Evaluate the grid and write its CSV to a path or a text stream, block
-    by block: only one block of BLOCK_POINTS points and their rows is held
-    at a time. The bytes equal write_csv(run_sweep(spec), destination)'s,
-    and so do the advisories. Each axis value is formatted once per sweep
-    and each distinct residual once per block; _line_formatter formats the
-    other cells. Writing starts with the first block, so a run that fails
-    can leave a partial file. Returns the rows, the rows flagged undefined
-    and the rows flagged error.
+    by block, holding one block of BLOCK_POINTS points and their rows at a
+    time. The bytes and the advisories equal write_csv(run_sweep(spec),
+    destination)'s. Each axis value is formatted once per sweep, each
+    distinct residual once per block, and every 32 rows with one %-format
+    (_block_text). Writing starts with the first block, so a failed run can
+    leave a partial file. Returns the rows and the rows flagged undefined
+    and error.
     """
     evaluated = _evaluated(spec)  # the advisories come before the destination opens
     axis_cells = [{v: "%.17g" % v for v in ax.values()} for ax in spec.axes]
-    line = _line_formatter()
-    rows = undefined = errors = 0
+    # a row without a None cell: text axis, regime, residual and flags cells
+    full = _template([""] * len(spec.axes) + [0.0] * (len(spec.columns) - len(spec.axes) - 3) + [""] * 3)
+    counts = (0, 0, 0)  # rows, undefined, errors
     with _opened(destination) as stream:
         stream.write(",".join(spec.columns) + "\n")
         for columns in evaluated:
             residual = {r: None if r is None else "%.17g" % r for r in set(columns[-2])}
             for i, cells in (*enumerate(axis_cells), (-2, residual)):
-                columns[i] = map(cells.__getitem__, columns[i])
-            stream.write("".join(map(line, zip(*columns))))
-            block_undefined, block_errors = _flag_counts(columns[-1])
-            rows += len(columns[-1])
-            undefined += block_undefined
-            errors += block_errors
-    return rows, undefined, errors
+                columns[i] = list(map(cells.__getitem__, columns[i]))
+            stream.writelines(_block_text(columns, full))
+            counts = tuple(map(sum, zip(counts, (len(columns[-1]), *_flag_counts(columns[-1])))))
+    return counts
 
 
 # ---------------------------------------------------------------------------

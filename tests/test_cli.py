@@ -419,6 +419,18 @@ def test_sweep_prints_the_advisories_of_its_q_axis(tmp_path, capsys):
     assert "Warning" not in err and "run_sweep" not in err
 
 
+def test_flux_sweep_checks_the_linewidths_at_its_smallest_flux(tmp_path, capsys):
+    # fig7c's axis reaches phi = 0, where channel c's re-pinned linewidth at Q = 25
+    # exceeds the gap; at the preset's own phi = pi/2 it does not
+    code, _, err = run_cli(capsys, "sweep", "--preset", "fig7c", "--q", "25",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert advisories(err) == advisories(run_cli(capsys, "steady", "--q", "25", "--flux", "0")[2]) == [
+        "advisory: channel c: linewidth omega_l/Q = 0.3932 exceeds the omega21 - omega32 gap 0.375; "
+        "levels above the qutrit would be populated"]
+    assert advisories(run_cli(capsys, "steady", "--q", "25")[2]) == []
+
+
 def test_sweep_prints_the_advisories_the_library_warns(tmp_path, capsys):
     # a fixed low Q without a Q axis: the CLI prints what run_sweep warns
     section = {"axes": [{"name": "base_temperature", "start": 0.5, "stop": 2.0, "count": 4},

@@ -51,16 +51,21 @@ def scalar_metric(cfg: SystemConfig, name: str, base: float, hot: float) -> floa
     return rectification_3t(cfg, name[2], name[3], base, hot)
 
 
-def scalar_row(spec: SweepSpec, phi: float) -> dict:
-    """One flux-axis row recomputed through the scalar API."""
+def scalar_row(spec: SweepSpec, value: float) -> dict:
+    """One row of a one-axis sweep (flux, base_temperature or
+    hot_temperature) recomputed through the scalar API."""
     metrics = spec.metric_columns
-    scen = spec.scenario
+    scen, cfg, (axis,) = spec.scenario, spec.config, spec.axes
     try:
-        cfg = replace(
-            spec.config,
-            circuit=CircuitParams(e_j=spec.config.circuit.e_j, e_c=spec.config.circuit.e_c, phi=phi),
-            resonators=() if spec.repin_resonators else spec.config.resonators,
-        )
+        if axis.name == "flux":
+            cfg = replace(
+                cfg,
+                circuit=CircuitParams(e_j=cfg.circuit.e_j, e_c=cfg.circuit.e_c, phi=value),
+                resonators=() if spec.repin_resonators else cfg.resonators,
+            )
+        else:  # a fixed system: the axis sets the scenario's base or hot temperature
+            scen = replace(scen, **{"base" if axis.name == "base_temperature" else
+                                    "hot_temperature": value})
         temps = scen.temperatures(cfg.bath_ids())
         steady, cur = solve_temperatures(cfg, temps)
     except (QutritHeatError, ValueError, ArithmeticError) as exc:
@@ -112,6 +117,12 @@ def specs(draw):
     merged = draw(st.sampled_from([None, ("a", "b"), ("a", "c"), ("b", "c")]))
     circuit = CircuitParams(e_j=10.0 * e_c, e_c=e_c, phi=0.0)
     spectrum = SystemConfig(circuit=circuit).spectrum
+    # a flux axis re-derives the system per point; a temperature axis keeps the
+    # configuration's, whose flux may leave no spectrum (omega32 <= 0)
+    axis = draw(st.sampled_from(["flux", "base_temperature", "hot_temperature"]))
+    if axis != "flux":
+        circuit = replace(circuit, phi=draw(st.one_of(st.floats(-4.0, 4.0),
+                                                      st.floats(EDGE_32 - 1e-3, EDGE_32 + 1e-3))))
     resonators = ()
     if draw(st.booleans()):
         resonators = tuple(
@@ -133,11 +144,11 @@ def specs(draw):
         hot_temperature=draw(st.one_of(st.just(base), temperatures)),
         overrides=draw(st.one_of(st.just(()), st.tuples(st.tuples(baths, temperatures)))),
     )
-    phi = draw(fluxes)
+    start = draw(fluxes if axis == "flux" else temperatures)
     return SweepSpec(
         config=config,
         scenario=scenario,
-        axes=(SweepAxis("flux", phi, phi + draw(st.floats(1e-4, 0.5)), 2),),
+        axes=(SweepAxis(axis, start, start + draw(st.floats(1e-4, 0.5)), 2),),
         metrics=METRIC_COLUMNS,
         repin_resonators=draw(st.booleans()),
     )
@@ -150,7 +161,7 @@ def test_sweep_cells_equal_the_scalar_api(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = run_sweep(spec)  # a bad point is a flagged row, never an exception
-        wanted = [scalar_row(spec, phi) for (phi,) in spec.grid()]
+        wanted = [scalar_row(spec, value) for (value,) in spec.grid()]
     for row, want in zip(result.rows, wanted):
         got = dict(zip(result.columns, row))
         assert got["flags"] == want["flags"]

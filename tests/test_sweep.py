@@ -272,6 +272,30 @@ class TestSolveCount:
         assert 0 < invalid < 5
         assert sum(solved) == (5 - invalid) * 3
 
+    def test_a_fixed_system_is_planned_once(self, monkeypatch):
+        calls = {"channel_prefactors": 0, "kernel_frequencies": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(sweep, "channel_prefactors",
+                            counted("channel_prefactors", sweep.channel_prefactors))
+        monkeypatch.setattr(SystemConfig, "kernel_frequencies",
+                            counted("kernel_frequencies", SystemConfig.kernel_frequencies))
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 1)
+        axes = (SweepAxis("base_temperature", 0.5, 2.0, 4), SweepAxis("hot_temperature", 0.5, 2.0, 4))
+        write_sweep(spec(axes, metrics=("R_ab", "C")), io.StringIO())
+        assert calls == {"channel_prefactors": 1, "kernel_frequencies": 1}
+        # a flux axis derives each distinct flux of a block once: blocks of 4
+        # points over 3 fluxes x 2 temperatures hold 2 and 1 fluxes
+        calls.update(dict.fromkeys(calls, 0))
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 4)
+        run_sweep(spec((SweepAxis("flux", 0.5, 1.5, 3), SweepAxis("hot_temperature", 1.0, 2.0, 2))))
+        assert calls == {"channel_prefactors": 2, "kernel_frequencies": 3}
+
 
 class TestFluxSweep:
     def test_invalid_flux_rows_flagged(self):
@@ -334,6 +358,15 @@ class TestQSweep:
         flags = [r[res.columns.index("flags")] for r in res.rows]
         assert flags == ["error:NonPositiveFrequency"] * 2
 
+    def test_flux_axis_without_a_circuit_gives_the_ratio_note_alone(self):
+        # no axis value has cos(phi/3) > 0, so no linewidth is checked, not even
+        # at the configuration's own flux, where Q = 1 would flag every channel
+        low = config(circuit=CircuitParams(e_j=3.0, e_c=1.0), q=1.0)
+        res, notes = recorded(lambda: run_sweep(spec((SweepAxis("flux", 5.0, 6.0, 2),), cfg=low)))
+        assert len(low.advisories()) == 4
+        assert [message for message, _ in notes] == low.advisories()[:1]
+        assert [r[-1] for r in res.rows] == ["error:InvalidFlux"] * 2
+
     def test_log_axis_sets_quality_factor(self):
         s = spec(
             (SweepAxis("log10_quality_factor", 2.0, 3.0, 2),),
@@ -346,6 +379,17 @@ class TestQSweep:
         c_q1000 = circulation(config(q=1000.0), 0.9, 3.0)
         assert res.rows[0][res.columns.index("C")] == c_q100
         assert res.rows[1][res.columns.index("C")] == c_q1000
+
+    @pytest.mark.parametrize("name, key, values", [
+        ("quality_factor", "q", (50.0, 1000.0)), ("log10_quality_factor", "q", (100.0, 1000.0)),
+        ("lambda_off", "lambda_off", (0.0, 0.5))])
+    def test_a_system_axis_sets_each_row(self, name, key, values):
+        # Q and lambda_off axes change the system per point, so no block may
+        # take the configuration's own kernel inputs
+        start, stop = (math.log10(v) for v in values) if name.startswith("log10") else values
+        res = run_sweep(spec((SweepAxis(name, start, stop, 2),), metrics=("C",)))
+        assert [r[res.columns.index("C")] for r in res.rows] == [
+            circulation(config(**{key: v}), 0.9, 2.0) for v in values]
 
     def test_huge_q_recovers_ideal_limit(self):
         assert abs(circulation(config(q=1e6), 0.9, 2.5)) <= 1e-6
@@ -461,6 +505,20 @@ class TestCsv:
         res = run_sweep(s)
         assert any(None in row for row in res.rows) and written(res) == reference_csv(res)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), types=st.lists(st.sampled_from([float, str]), min_size=1, max_size=14),
+           n=st.integers(1, 12), repeats=st.integers(1, 6))
+    def test_block_text_equals_the_line_formatter(self, data, types, n, repeats):
+        # columns of one cell type each, with None in any cell, repeated to
+        # blocks of up to 72 rows, so that some span several 32-row formats
+        draw = {float: FLOATS, str: TEXT}
+        columns = [data.draw(st.lists(st.none() | draw[t], min_size=n, max_size=n)) * repeats
+                   for t in types]
+        full = sweep._template([0.0 if t is float else "" for t in types])
+        text = sweep._block_text(columns, full)
+        assert "".join(text) == "".join(map(sweep._line_formatter(), zip(*columns)))
+        assert len(text) == (n * repeats + 31) // 32
+
     def test_engine_strings_need_no_quoting(self):
         # the writer has no quoting path, so no string the engine emits may need one
         columns = AXIS_NAMES + STATE_COLUMNS + METRIC_COLUMNS + ("regime", "residual", "flags")
@@ -470,8 +528,11 @@ class TestCsv:
 
 #: A map with undefined cells on its base == hot diagonal, a flux x Q sweep
 #: with InvalidFlux rows and linewidth advisories, a merged-bath sweep whose
-#: three-bath metrics are error cells, a fixed low Q, and a flux sweep at
-#: e_j/e_c = 3, with the e_j/e_c advisory and NonPositiveFrequency rows.
+#: three-bath metrics are error cells, a fixed low Q, a flux sweep at
+#: e_j/e_c = 3, with the e_j/e_c advisory and NonPositiveFrequency rows, a flux
+#: sweep at Q = 25 whose linewidth advisory holds at phi = -1 only, not at the
+#: configuration's own pi/2, and a 49-point map whose undefined diagonal cells
+#: fall on both sides of write_sweep's 32-row formats.
 STREAMED_SPECS = {
     "diagonal": spec((SweepAxis("base_temperature", 0.5, 2.0, 4),
                       SweepAxis("hot_temperature", 0.5, 2.0, 4)), metrics=("R_ab", "R_bc", "C")),
@@ -484,6 +545,9 @@ STREAMED_SPECS = {
                         cfg=config(q=4.0)),
     "low_ratio": spec((SweepAxis("flux", 0.0, 4.5, 10),), metrics=("C",),
                       cfg=config(circuit=CircuitParams(e_j=3.0, e_c=1.0))),
+    "low_q_flux": spec((SweepAxis("flux", -1.0, 5.0, 4),), metrics=("C",), cfg=config(q=25.0)),
+    "wide": spec((SweepAxis("base_temperature", 0.5, 2.0, 7),
+                  SweepAxis("hot_temperature", 0.5, 2.0, 7)), metrics=("R_ab", "C")),
 }
 
 
@@ -511,10 +575,15 @@ class TestStream:
             assert streamed_advisories == advisories
             pooled, pooled_advisories = recorded(lambda: run_sweep(s, workers=2))
             assert pooled == result and pooled_advisories == advisories, block_points
-        assert bool(advisories) == (name in ("flux", "fixed_low_q", "low_ratio"))
+        assert bool(advisories) == (name in ("flux", "fixed_low_q", "low_ratio", "low_q_flux"))
         if name == "low_ratio":  # once per sweep, not once per flux value
             assert [message for message, _ in advisories] == [
                 "e_j/e_c = 3.00 is below 5.0; perturbative spectrum may be inaccurate"]
+        if name == "low_q_flux":  # at the axis value of smallest |phi|, re-pinned
+            assert [message for message, _ in advisories] == config(
+                circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=-1.0), q=25.0).advisories() == [
+                "channel c: linewidth omega_l/Q = 0.3809 exceeds the omega21 - omega32 gap 0.375; "
+                "levels above the qutrit would be populated"]
 
     def test_a_path_gets_the_same_bytes(self, tmp_path):
         s = STREAMED_SPECS["diagonal"]
