@@ -52,7 +52,10 @@ def channel_prefactors(freqs, omega_l, q, lambda_res, lambda_off):
 def thermal_rates(freqs, prefactors, temperatures):
     """(up, down) rates (N, channel, transition) at (N, 3) channel
     temperatures; down = prefactor (1 + n_B) keeps detailed balance pair by
-    pair and spontaneous emission at T = 0."""
+    pair and spontaneous emission at T = 0. down takes the Bose buffer."""
     n = bose_factors(freqs[:, None, :], temperatures[:, :, None])
-    return prefactors * n, prefactors * (1.0 + n)
+    up = prefactors * n
+    n += 1.0
+    n *= prefactors
+    return up, n
 

@@ -123,24 +123,28 @@ def channel_currents(freqs, up, down, p, trees):
     (u k_ji - d k_ij) + u k_jm k_mi - d k_im k_mj: the first term is exactly
     0 when one channel drives t alone, the second is the cycle affinity, so
     u p_i and d p_j never cancel. scale is the largest gross one-way flow
-    sum_t w_t (u p_i + d p_j) of any channel.
+    sum_t w_t (u p_i + d p_j) of any channel. Both sum one transition at a
+    time, so the kernel holds (N, channel) arrays, not (N, channel, transition).
     """
     s, (k01, k10, k12, k21, k02, k20), w = trees
     norm = (w[0] + w[1] + w[2]) / s
-    net = []
-    for t, (kij, kji, kmi, kmj, kjm, kim) in enumerate((
-        (k01, k10, k20, k21, k12, k02),  # 0 -> 1
-        (k12, k21, k01, k02, k20, k10),  # 1 -> 2
-        (k02, k20, k10, k12, k21, k01),  # 0 -> 2
+    for t, (i, j, kij, kji, kmi, kmj, kjm, kim) in enumerate((
+        (0, 1, k01, k10, k20, k21, k12, k02),  # 0 -> 1
+        (1, 2, k12, k21, k01, k02, k20, k10),  # 1 -> 2
+        (0, 2, k02, k20, k10, k12, k21, k01),  # 0 -> 2
     )):
         u, d = up[:, :, t] / s[:, None], down[:, :, t] / s[:, None]
         f = ((kmi + kmj)[:, None] * (u * kji[:, None] - d * kij[:, None])
              + u * (kjm * kmi)[:, None] - d * (kim * kmj)[:, None])
-        net.append(freqs[:, t, None] * f / norm[:, None])
-    w_t = freqs[:, None, :]
-    gross = w_t * up * p[:, None, [0, 1, 0]] + w_t * down * p[:, None, [1, 2, 2]]
-    g = gross[..., 0] + gross[..., 1] + gross[..., 2]
-    return net[0] + net[1] + net[2], np.maximum(np.maximum(g[:, 0], g[:, 1]), g[:, 2])
+        w_t = freqs[:, t, None]
+        net = w_t * f / norm[:, None]
+        gross = w_t * up[:, :, t] * p[:, i, None] + w_t * down[:, :, t] * p[:, j, None]
+        if t:
+            current += net
+            g += gross
+        else:
+            current, g = net, gross
+    return current, np.maximum(np.maximum(g[:, 0], g[:, 1]), g[:, 2])
 
 
 def solve_scenarios(freqs, prefactors, temperatures) -> tuple:

@@ -11,7 +11,8 @@ No metric is defined here: the scenarios and formulas of R_ll', R2 and C
 are transport.metric_scenarios and transport.metric_values, and the regime
 labels transport.regimes. Each block of grid points is one kernel call on
 every valid point (one whose spectrum derives) at each distinct scenario
-template: valid points x templates scenarios. What every block shares is
+template: valid points x templates scenarios, at most BLOCK_SCENARIOS
+unless one point has more templates. What every block shares is
 planned once per sweep (_plan), and the CSV stream formats every 32 rows
 with one %-format (_block_text).
 """
@@ -22,7 +23,7 @@ import warnings
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 from math import ceil, inf, log10, pi
 from pathlib import Path
 from types import NoneType
@@ -150,7 +151,7 @@ class SweepSpec:
 
     def grid(self) -> list[tuple[float, ...]]:
         """Axis value tuples in row-major order (first axis outermost)."""
-        return list(chain.from_iterable(zip(*block) for block in _blocks(self)))
+        return list(product(*(ax.values() for ax in self.axes)))
 
 
 @dataclass(frozen=True)
@@ -174,20 +175,23 @@ def _flag_counts(flags) -> tuple[int, int]:
     return sum("undefined" in f for f in flags), sum("error:" in f for f in flags)
 
 
-#: Grid points per kernel call and per streamed write. It bounds the scenario
-#: table's memory and write_sweep's; no result depends on it.
-BLOCK_POINTS = 256
+#: Kernel scenarios per block, the unit of each kernel call and streamed
+#: write: a block holds max(1, BLOCK_SCENARIOS // templates) grid points, each
+#: solved at every template (_plan). solve_scenarios peaks under 600 B per
+#: scenario, so it bounds a call's memory (under 0.5 MB) and write_sweep's;
+#: no result depends on it.
+BLOCK_SCENARIOS = 768
 
 
-def _blocks(spec: SweepSpec):
+def _blocks(spec: SweepSpec, points: int):
     """The grid points in row-major order (first axis outermost), in blocks
-    of at most BLOCK_POINTS points built one at a time, each one list per
-    axis: point k of two axes is (outer[k // n_inner], inner[k % n_inner])."""
+    of at most `points` points built one at a time, each one list per axis:
+    point k of two axes is (outer[k // n_inner], inner[k % n_inner])."""
     *outer, inner = (ax.values() for ax in spec.axes)
     n_inner = len(inner)
     total = n_inner * len(outer[0]) if outer else n_inner
-    for start in range(0, total, BLOCK_POINTS):
-        stop = min(start + BLOCK_POINTS, total)
+    for start in range(0, total, points):
+        stop = min(start + points, total)
         if outer:
             yield ([outer[0][k // n_inner] for k in range(start, stop)],
                    [inner[k % n_inner] for k in range(start, stop)])
@@ -238,7 +242,7 @@ def _evaluate_block(spec: SweepSpec, plan, values: tuple[list[float], ...]) -> l
     if "log10_quality_factor" in axis:
         axis["quality_factor"] = [10.0 ** v for v in axis["log10_quality_factor"]]
     base, hot, q, lambda_off = (
-        np.array(axis.get(key, [default] * n), dtype=float)
+        np.array(axis[key], dtype=float) if key in axis else np.full(n, default, dtype=float)
         for key, default in (("base_temperature", scen.base), ("hot_temperature", scen.hot_temperature),
                              ("quality_factor", cfg.q), ("lambda_off", cfg.lambda_off)))
     kinds, error = list(FAILURE_KINDS), np.zeros(n, dtype=int)
@@ -257,8 +261,10 @@ def _evaluate_block(spec: SweepSpec, plan, values: tuple[list[float], ...]) -> l
         pref = channel_prefactors(freqs, omega_l, q[:, None], cfg.lambda_res, lambda_off[:, None])
 
     sources = {"base": base, "hot": hot, "mean": 0.5 * (base + hot)}
-    temps = np.stack([np.stack([sources[s] if isinstance(s, str) else np.full(n, s) for s in t],
-                               axis=1) for t in templates], axis=1)  # (point, slot, channel)
+    temps = np.empty((n, len(templates), 3))  # (point, slot, channel); np.stack costs more
+    for slot, template in enumerate(templates):
+        for c, source in enumerate(template):
+            temps[:, slot, c] = sources.get(source, source)
     valid = np.flatnonzero(error == 0)
     width = len(spec.columns) - len(values) - 1  # cells between the axes and the flags
     if not valid.size:
@@ -274,9 +280,13 @@ def _evaluate_block(spec: SweepSpec, plan, values: tuple[list[float], ...]) -> l
     rows = table[:, 0]
     error = np.where(error == 0, failure[rows], error)
     ok = error == 0
+    j_rows = j[rows]
     bath_t = temps[:, 0, [CHANNEL_IDS.index(m[0]) for m in members]]
-    bath_j = np.stack([bath_current(j[rows], m) for m in members], axis=1)
-    regime = regimes(cfg.bath_ids(), bath_t, np.where(ok[:, None], bath_j, 0.0))[0]  # an error row: none
+    bath_j = np.empty((n, len(members)))
+    for b, channels in enumerate(members):
+        bath_j[:, b] = bath_current(j_rows, channels)
+    bath_j[~ok] = 0.0  # an error row: none
+    regime = regimes(cfg.bath_ids(), bath_t, bath_j)[0]
     flags = {k: ["error:AmbiguousExtremum"] for k, label in enumerate(regime) if label is None}
     cells = []
     for name in spec.metric_columns:
@@ -297,7 +307,7 @@ def _evaluate_block(spec: SweepSpec, plan, values: tuple[list[float], ...]) -> l
     flag = [""] * n
     for k, notes in flags.items():
         flag[k] = ";".join(notes)
-    columns = [*values, *p[rows].T.tolist(), *j[rows].T.tolist(), *cells, regime,
+    columns = [*values, *p[rows].T.tolist(), *j_rows.T.tolist(), *cells, regime,
                residual[rows].tolist(), flag]
     for k in np.flatnonzero(~ok).tolist():
         for column in columns[len(values):-1]:
@@ -325,22 +335,25 @@ def _evaluated(spec: SweepSpec, workers: int = 1):
                 cfg = None
     for note in spec.config.advisories(inf) if cfg is None else cfg.advisories(q_min):
         warnings.warn(note, stacklevel=3)
-    evaluate = partial(_evaluate_block, spec, _plan(spec))
+    plan = _plan(spec)
+    evaluate = partial(_evaluate_block, spec, plan)
+    blocks = _blocks(spec, max(1, BLOCK_SCENARIOS // len(plan[0])))
     if workers <= 1:
-        return map(evaluate, _blocks(spec))
+        return map(evaluate, blocks)
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-    blocks = list(_blocks(spec))
+    blocks = list(blocks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(evaluate, blocks, chunksize=ceil(len(blocks) / workers)))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the grid in blocks of BLOCK_POINTS points, in this process
-    or on a pool of `workers` processes; output order is independent of
-    both. Each advisory of the configuration (SystemConfig.advisories: the
-    e_j/e_c note, then the resonator linewidths at the lowest Q and |phi|
-    the sweep uses) is one UserWarning, the same at every worker count.
+    """Evaluate the grid in blocks of max(1, BLOCK_SCENARIOS // templates)
+    points, in this process or on a pool of `workers` processes; output
+    order is independent of both. Each advisory of the configuration
+    (SystemConfig.advisories: the e_j/e_c note, then the resonator
+    linewidths at the lowest Q and |phi| the sweep uses) is one
+    UserWarning, the same at every worker count.
     """
     return SweepResult(columns=spec.columns, rows=tuple(
         chain.from_iterable(zip(*block) for block in _evaluated(spec, workers))))
@@ -400,7 +413,7 @@ def write_csv(result: SweepResult, destination) -> None:
 
     No field is quoted: column names, regime labels and flags hold no comma,
     quote or line break. The bytes depend on the rows only, not on the worker
-    count or BLOCK_POINTS; _line_formatter gives each line.
+    count or BLOCK_SCENARIOS; _line_formatter gives each line.
     """
     with _opened(destination) as stream:
         stream.write(",".join(result.columns) + "\n")
@@ -409,8 +422,9 @@ def write_csv(result: SweepResult, destination) -> None:
 
 def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
     """Evaluate the grid and write its CSV to a path or a text stream, block
-    by block, holding one block of BLOCK_POINTS points and their rows at a
-    time. The bytes and the advisories equal write_csv(run_sweep(spec),
+    by block, holding one block (the points of at most BLOCK_SCENARIOS
+    kernel scenarios, as run_sweep sizes it) and its rows at a time. The
+    bytes and the advisories equal write_csv(run_sweep(spec),
     destination)'s. Each axis value is formatted once per sweep, each
     distinct residual once per block, and every 32 rows with one %-format
     (_block_text). Writing starts with the first block, so a failed run can

@@ -9,13 +9,15 @@ and the CSV bytes must not depend on the block size or the worker count.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_heat import (
@@ -35,7 +37,8 @@ from qutrit_heat import (
     write_csv,
 )
 from qutrit_heat import sweep as sweep_module
-from qutrit_heat.steady import RESIDUAL_TOL
+from qutrit_heat.rates import channel_prefactors
+from qutrit_heat.steady import RESIDUAL_TOL, solve_scenarios
 from qutrit_heat.sweep import METRIC_COLUMNS
 from qutrit_heat.transport import bath_currents
 
@@ -154,8 +157,37 @@ def specs(draw):
     )
 
 
+#: The currents' absolute floor, 256 subnormal steps (1.3e-321). With
+#: lambda_off near or below the float minimum and only the off-resonant
+#: couplings carrying current, every current is subnormal: each rounding
+#: then errs by up to half a step, not by a share of the value, and the
+#: frequencies weigh it, so one step (4.9e-324) can exceed 1e-12 of the
+#: scale. In 81,000 random scalar solves of such systems the sum of the
+#: currents exceeded that relative bound by at most 61 steps.
+SUBNORMAL_FLOOR = 256 * 2.0**-1074
+
+
+def subnormal_example(circuit, q, lambda_res, lambda_off, cold, hot):
+    """A merged a,c system with every current subnormal: baths ac at cold
+    and b at hot in the first row."""
+    return SweepSpec(
+        config=SystemConfig(circuit=circuit, q=q, lambda_res=lambda_res, lambda_off=lambda_off,
+                            merged=("a", "c")),
+        scenario=TemperatureScenario(hot=frozenset({"b"}), base=cold, hot_temperature=hot),
+        axes=(SweepAxis("hot_temperature", hot, hot + 0.1, 2),),
+        metrics=METRIC_COLUMNS,
+    )
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spec=specs())
+# currents summing to -4.9e-324 at a scale of 2.8e-312
+@example(spec=subnormal_example(CircuitParams(e_j=5.0, e_c=0.5, phi=0.0), 10.0, 2.0, 4.79e-308,
+                                0.0, 0.5))
+# currents summing to -1.4e-322, 29 steps, at a scale of 1.0e-312
+@example(spec=subnormal_example(
+    CircuitParams(e_j=6.9105553699227045, e_c=0.6910555369922704, phi=1.3758881232242457),
+    12.573586737483025, 1.8134447996152334, 6.347863850533e-312, 0.0, 2.813314146419029))
 def test_sweep_cells_equal_the_scalar_api(spec):
     # Hybrid-regime warnings are expected output here, not failures.
     with warnings.catch_warnings():
@@ -173,7 +205,7 @@ def test_sweep_cells_equal_the_scalar_api(spec):
         p = [got[c] for c in ("p0", "p1", "p2")]
         assert all(0.0 <= x <= 1.0 for x in p) and abs(sum(p) - 1.0) <= 1e-12
         assert got["residual"] <= RESIDUAL_TOL
-        assert abs(got["j_a"] + got["j_b"] + got["j_c"]) <= 1e-12 * want["_scale"]
+        assert abs(got["j_a"] + got["j_b"] + got["j_c"]) <= 1e-12 * want["_scale"] + SUBNORMAL_FLOOR
         for name in spec.metric_columns:
             assert got[name] is None or abs(got[name]) <= 1.0
         temps = set(want["_temps"].values())
@@ -181,7 +213,7 @@ def test_sweep_cells_equal_the_scalar_api(spec):
             w = np.exp(-np.array(want["_cfg"].spectrum.energies) / t)
             assert np.abs(np.array(p) - w / w.sum()).max() <= 1e-10
             for c in ("j_a", "j_b", "j_c"):
-                assert abs(got[c]) <= 1e-12 * want["_scale"]
+                assert abs(got[c]) <= 1e-12 * want["_scale"] + SUBNORMAL_FLOOR
 
 
 def csv_bytes(result) -> bytes:
@@ -203,7 +235,7 @@ def test_csv_bytes_independent_of_block_size_and_workers(monkeypatch):
     reference = csv_bytes(run_sweep(spec))
     assert csv_bytes(run_sweep(spec, workers=3)) == reference
     for block in (1, 5, 7):
-        monkeypatch.setattr(sweep_module, "BLOCK_POINTS", block)
+        monkeypatch.setattr(sweep_module, "BLOCK_SCENARIOS", block)
         assert csv_bytes(run_sweep(spec)) == reference
         assert csv_bytes(run_sweep(spec, workers=3)) == reference
 
@@ -222,7 +254,7 @@ def test_all_zero_temperature_point_is_a_reducible_chain_row(monkeypatch):
     warm = dict(zip(result.columns, result.rows[1]))
     assert warm["p0"] is not None
     # a block whose every point fails in the kernel gives the same rows
-    monkeypatch.setattr(sweep_module, "BLOCK_POINTS", 1)
+    monkeypatch.setattr(sweep_module, "BLOCK_SCENARIOS", 1)
     assert run_sweep(spec) == result
 
 
@@ -242,3 +274,46 @@ def test_passive_bath_cells_equal_the_scalar_api():
             got = dict(zip(result.columns, row))
             assert got["R_ab"] == rectification_3t(cfg, "a", "b", 0.8, hot, passive_temperature=t)
             assert got["R_bc"] == rectification_3t(cfg, "b", "c", 0.8, hot, passive_temperature=t)
+
+
+def edge_batch(n: int = 2000):
+    """A seeded batch of solve_scenarios inputs (freqs, prefactors,
+    temperatures) at the kernel's edges: channel temperatures of 0 (all three
+    in a few rows) and with omega/T > 700, lambda_off of 0, log-uniform from
+    1 down to 1e-300, and up to 2, Q log-uniform from 1 to 1e4, and
+    resonators detuned by up to 5 %."""
+    u = np.random.default_rng(2021).random((n, 16))
+    omega10 = 0.5 + 4.5 * u[:, 0]
+    omega21 = omega10 * (0.6 + 0.35 * u[:, 1])
+    freqs = np.stack([omega10, omega21, omega10 + omega21], axis=1)
+    lambda_off = np.where(u[:, 7] < 0.2, 0.0,
+                          np.where(u[:, 7] < 0.6, 10.0 ** (-300.0 * u[:, 8]), 2.0 * u[:, 8]))
+    prefactors = channel_prefactors(freqs, freqs * (0.95 + 0.1 * u[:, 2:5]), 10.0 ** (4.0 * u[:, 5:6]),
+                                    0.2 + 1.8 * u[:, 6:7], lambda_off[:, None])
+    kind = u[:, 9:12]
+    temperatures = np.where(kind < 0.15, 0.0,
+                            np.where(kind < 0.3, 1e-4 * (1.0 + u[:, 12:15]), 0.05 + 5.0 * u[:, 12:15]))
+    return freqs, prefactors, temperatures
+
+
+def test_kernel_bits_are_pinned():
+    # The sha256 of the five arrays solve_scenarios returns for edge_batch,
+    # taken with numpy 2.4 on x86-64 Linux. A change to the kernel that moves
+    # any bit of any scenario changes it; a new platform or numpy may too.
+    digest = hashlib.sha256()
+    for array in solve_scenarios(*edge_batch()):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == "14b3ad219e0ebaf18ed5f71633a4d4958e0d0b2e1a047401295aac60028d09ba"
+
+
+def test_kernel_peak_memory_per_scenario():
+    freqs, prefactors, temperatures = (a[:1024] for a in edge_batch())
+    solve_scenarios(freqs, prefactors, temperatures)  # first-call caches
+    tracemalloc.start()
+    try:
+        solve_scenarios(freqs, prefactors, temperatures)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * 1024, peak / 1024

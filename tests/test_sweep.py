@@ -8,6 +8,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,9 +264,9 @@ class TestSolveCount:
         run_sweep(spec(axes, metrics=("R_ab", "R_ac", "R_bc")))
         assert sum(solved) == 16 * 3
 
-    @pytest.mark.parametrize("block_points", [2, 256])
-    def test_invalid_flux_points_are_never_solved(self, solved, monkeypatch, block_points):
-        monkeypatch.setattr(sweep, "BLOCK_POINTS", block_points)
+    @pytest.mark.parametrize("block_scenarios", [2, 256])
+    def test_invalid_flux_points_are_never_solved(self, solved, monkeypatch, block_scenarios):
+        monkeypatch.setattr(sweep, "BLOCK_SCENARIOS", block_scenarios)
         s = spec((SweepAxis("flux", 4.0, 5.0, 5),), metrics=("C",))  # edge at 3*pi/2
         res = run_sweep(s)
         invalid = sum(r[-1] == "error:InvalidFlux" for r in res.rows)
@@ -285,14 +286,14 @@ class TestSolveCount:
                             counted("channel_prefactors", sweep.channel_prefactors))
         monkeypatch.setattr(SystemConfig, "kernel_frequencies",
                             counted("kernel_frequencies", SystemConfig.kernel_frequencies))
-        monkeypatch.setattr(sweep, "BLOCK_POINTS", 1)
+        monkeypatch.setattr(sweep, "BLOCK_SCENARIOS", 1)
         axes = (SweepAxis("base_temperature", 0.5, 2.0, 4), SweepAxis("hot_temperature", 0.5, 2.0, 4))
         write_sweep(spec(axes, metrics=("R_ab", "C")), io.StringIO())
         assert calls == {"channel_prefactors": 1, "kernel_frequencies": 1}
         # a flux axis derives each distinct flux of a block once: blocks of 4
-        # points over 3 fluxes x 2 temperatures hold 2 and 1 fluxes
+        # one-template points over 3 fluxes x 2 temperatures hold 2 and 1 fluxes
         calls.update(dict.fromkeys(calls, 0))
-        monkeypatch.setattr(sweep, "BLOCK_POINTS", 4)
+        monkeypatch.setattr(sweep, "BLOCK_SCENARIOS", 4)
         run_sweep(spec((SweepAxis("flux", 0.5, 1.5, 3), SweepAxis("hot_temperature", 1.0, 2.0, 2))))
         assert calls == {"channel_prefactors": 2, "kernel_frequencies": 3}
 
@@ -566,15 +567,16 @@ class TestStream:
         result, advisories = recorded(lambda: run_sweep(s))
         reference = written(result)
         assert result.undefined_count() + result.error_count() > 0
-        for block_points in (1, 5, 7, 256):
-            monkeypatch.setattr(sweep, "BLOCK_POINTS", block_points)
+        # 16 scenarios are blocks of 5 points at 3 templates, 8 at 2
+        for block_scenarios in (1, 5, 7, 16, 768):
+            monkeypatch.setattr(sweep, "BLOCK_SCENARIOS", block_scenarios)
             buf = io.StringIO()
             counts, streamed_advisories = recorded(lambda: write_sweep(s, buf))
-            assert buf.getvalue() == reference, block_points
+            assert buf.getvalue() == reference, block_scenarios
             assert counts == (len(result.rows), result.undefined_count(), result.error_count())
             assert streamed_advisories == advisories
             pooled, pooled_advisories = recorded(lambda: run_sweep(s, workers=2))
-            assert pooled == result and pooled_advisories == advisories, block_points
+            assert pooled == result and pooled_advisories == advisories, block_scenarios
         assert bool(advisories) == (name in ("flux", "fixed_low_q", "low_ratio", "low_q_flux"))
         if name == "low_ratio":  # once per sweep, not once per flux value
             assert [message for message, _ in advisories] == [
@@ -590,15 +592,26 @@ class TestStream:
         write_sweep(s, tmp_path / "streamed.csv")
         assert (tmp_path / "streamed.csv").read_text() == written(run_sweep(s))
 
-    def test_grid_is_the_blocks_in_row_major_order(self, monkeypatch):
+    def test_grid_is_the_blocks_in_row_major_order(self, solved, monkeypatch):
         s = STREAMED_SPECS["flux"]
         outer, inner = (ax.values() for ax in s.axes)
-        monkeypatch.setattr(sweep, "BLOCK_POINTS", 4)
-        assert [len(b[0]) for b in sweep._blocks(s)] == [4, 4, 4, 3]
         assert s.grid() == [(u, v) for u in outer for v in inner]
+        blocks = list(sweep._blocks(s, 4))
+        assert [len(b[0]) for b in blocks] == [4, 4, 4, 3]
+        assert [point for b in blocks for point in zip(*b)] == s.grid()
+        # a block holds max(1, BLOCK_SCENARIOS // templates) points, each
+        # solved at its 3 templates here, at 1 with no metric
+        wide = STREAMED_SPECS["wide"]
+        for block_scenarios, metrics, sizes in ((16, wide.metrics, [15] * 9 + [12]),
+                                                (2, wide.metrics, [3] * 49),
+                                                (16, (), [16, 16, 16, 1])):
+            monkeypatch.setattr(sweep, "BLOCK_SCENARIOS", block_scenarios)
+            solved.clear()
+            run_sweep(replace(wide, metrics=metrics))
+            assert solved == sizes, block_scenarios
 
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sweep, "BLOCK_POINTS", 16)
+        monkeypatch.setattr(sweep, "BLOCK_SCENARIOS", 16)
 
         def peak(count: int) -> int:
             s = spec((SweepAxis("base_temperature", 0.5, 2.0, count),
