@@ -21,45 +21,26 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import fields, replace
-from math import inf, pi
+from itertools import islice
+from math import inf
 
-from .circuit import CircuitParams
-from .errors import (
-    AmbiguousExtremum,
-    ConfigError,
-    InvalidFlux,
-    NonPositiveFrequency,
-    ReducibleChain,
-)
+from .errors import AmbiguousExtremum, ConfigError, NonPositiveFrequency, ReducibleChain
 from .rates import CHANNEL_IDS
 from .steady import MIN_JUMPS, gillespie_estimate
-from .sweep import SweepAxis, SweepSpec, preset, write_sweep
-from .transport import (
-    SystemConfig,
-    TemperatureScenario,
-    bath_currents,
-    classify_regime,
-    solve_temperatures,
-)
+from .sweep import (_SYSTEM_KEYS, SweepSpec, _checked, _known, _parse_section, _preset_section,
+                    _system_config, write_sweep)
+from .transport import SystemConfig, bath_currents, classify_regime, solve_temperatures
 
 #: Every configuration key: its kind (see _checked), its default and its
 #: --help text, then the metavar where argparse's own would mislead. A key
-#: whose default is None may also be null; "sweep" has no flag.
+#: whose default is None may also be null; "sweep" has no flag. The system
+#: keys are sweep._SYSTEM_KEYS, the keys of a sweep section's config too.
 _KEYS = {
-    "ej": (float, 5.0, "Josephson energy (hbar*omega_r)"),
-    "ec": (float, 0.5, "charging energy (hbar*omega_r)"),
-    "flux": (float, pi / 2, "reduced flux phase (rad)"),
-    "q": (float, 100.0, "resonator quality factor"),
-    "lambda_res": (float, 1.0, "resonant coupling weight"),
-    "lambda_off": (float, 1.0, "off-resonant coupling weight"),
+    **dict(islice(_SYSTEM_KEYS.items(), 6)),  # ej ... lambda_off
     "ta": (float, 1.0, "bath a temperature (k_B T in hbar*omega_r)"),
     "tb": (float, 1.0, "bath b temperature"),
     "tc": (float, 1.0, "bath c temperature"),
-    "merge": (str, None, "two channels sharing one reservoir, e.g. b,c", "L,L'"),
-    "omega_a": (float, None, "pin resonator a frequency (default: its transition)"),
-    "omega_b": (float, None, "pin resonator b frequency"),
-    "omega_c": (float, None, "pin resonator c frequency"),
+    **_SYSTEM_KEYS,  # merge, omega_a, omega_b, omega_c after the temperatures
     "preset": (str, None, "named sweep preset (sweep command)"),
     "out": (str, None, "CSV output path (sweep command)", "PATH"),
     "seed": (int, 1, "root RNG seed (verify command)"),
@@ -68,26 +49,6 @@ _KEYS = {
 }
 
 DEFAULTS = {key: default for key, (_, default, *_) in _KEYS.items()}
-
-_EXPECTED = {int: "a non-negative integer", str: "a string", bool: "true or false",
-             list: "a list", dict: "a JSON object"}
-
-
-def _checked(where: str, value, kind: type):
-    """value if it is of kind, else a ConfigError that names `where`. Kind
-    str, bool, list or dict takes a value of that type, float any finite
-    number but true and false (returned as a float), and int a whole number
-    >= 0 within the float range."""
-    if kind in (float, int):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond any float
-            raise ConfigError(f"{where}: must be finite, got {value}")
-        if kind is float:
-            return float(value)
-    if not isinstance(value, kind) or (kind is int and value < 0):
-        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
-    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -117,14 +78,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known(data, where: str, allowed) -> dict:
-    """The JSON object `data`, all of whose keys are `allowed`."""
-    for key in _checked(where, data, dict):
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    return data
-
-
 def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
     """The config from DEFAULTS, the --config file and the flags, in that
     order of precedence, and the set of keys the file or a flag set."""
@@ -148,41 +101,26 @@ def _load_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
     return cfg, explicit
 
 
-def _validate(cfg: dict) -> dict:
-    """Each key's kind, temperatures and merge. The ranges of the system
-    values are checked once, by CircuitParams and SystemConfig;
-    _system_config turns their ValueError into a ConfigError (exit 2)."""
+def _validate(cfg: dict) -> SystemConfig:
+    """The system configuration of cfg (_system_config, whose CircuitParams
+    and SystemConfig check the ranges of the system values), once each key's
+    kind and the temperatures are checked; the values stay as given, for
+    --dump-config. The channels of a merged bath must share a temperature."""
     for key, (kind, default, *_) in _KEYS.items():
         if cfg[key] is not None or default is not None:
-            _checked(key, cfg[key], kind)  # the value stays as given, for --dump-config
+            _checked(key, cfg[key], kind)
     for key in ("ta", "tb", "tc"):
         if cfg[key] < 0:
             raise ConfigError(f"{key}: temperature must be >= 0, got {cfg[key]}")
-    if cfg["merge"] is not None:
-        parts = [p.strip() for p in cfg["merge"].split(",")]
-        if len(parts) != 2 or parts[0] == parts[1] or not set(parts) <= set(CHANNEL_IDS):
-            raise ConfigError(f"merge: expected two distinct channels of a,b,c, got {cfg['merge']!r}")
-        cfg["merge"] = ",".join(sorted(parts))
-        t1, t2 = (cfg[f"t{c}"] for c in sorted(parts))
+    config = _system_config(cfg)
+    if config.merged:
+        t1, t2 = (cfg[f"t{c}"] for c in config.merged)
         if t1 != t2:
             raise ConfigError(
-                f"merge: channels {cfg['merge']} share a reservoir and must "
+                f"merge: channels {','.join(config.merged)} share a reservoir and must "
                 f"share a temperature (got {t1} and {t2})"
             )
-    return cfg
-
-
-def _system_config(cfg: dict) -> SystemConfig:
-    try:
-        return SystemConfig(
-            circuit=CircuitParams(e_j=cfg["ej"], e_c=cfg["ec"], phi=cfg["flux"]),
-            q=cfg["q"], lambda_res=cfg["lambda_res"], lambda_off=cfg["lambda_off"],
-            merged=tuple(cfg["merge"].split(",")) if cfg["merge"] else None,
-            resonators=tuple((c, cfg[f"omega_{c}"]) for c in CHANNEL_IDS
-                             if cfg[f"omega_{c}"] is not None),
-        )
-    except (InvalidFlux, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return config
 
 
 def _fmt(value: float, human: bool) -> str:
@@ -216,79 +154,28 @@ def cmd_steady(config: SystemConfig, temps: dict[str, float], human: bool = Fals
     return 0
 
 
-#: Keys of the fixed system configuration a sweep spec carries.
-_FIXED = {"ej", "ec", "flux", "q", "lambda_res", "lambda_off", "merge",
-          "omega_a", "omega_b", "omega_c"}
-
-
 def _sweep_config(cfg: dict, explicit: set[str]) -> tuple[dict, SweepSpec]:
-    """The effective configuration of a sweep and its spec: the preset or
-    config-file spec, whose fixed configuration keys give way to those the
-    file or a flag set (`explicit`)."""
+    """The effective configuration of a sweep and its spec. The sweep
+    section, the preset's (sweep.PRESETS) or the config file's, takes each
+    system key the file or a flag set (`explicit`), else its own, else the
+    default. The spec is that resolved section's (_parse_section), which
+    replaces the preset: the dump names the grid that runs."""
+    if cfg["preset"] is not None and cfg["sweep"] is not None:
+        raise ConfigError("preset: a sweep takes a preset or a sweep section, not both")
     if cfg["preset"] is not None:
         try:
-            spec = preset(cfg["preset"])
+            section = _preset_section(cfg["preset"])
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
     elif cfg["sweep"] is not None:
-        spec = _parse_sweep_dict(cfg["sweep"])
+        section = cfg["sweep"]
     else:
         raise ConfigError("sweep: provide --preset or a config-file sweep section")
-    own = spec.config
-    effective = dict(
-        cfg, ej=own.circuit.e_j, ec=own.circuit.e_c, flux=own.circuit.phi, q=own.q,
-        lambda_res=own.lambda_res, lambda_off=own.lambda_off,
-        merge=",".join(own.merged) if own.merged else None,
-        **{f"omega_{c}": dict(own.resonators).get(c) for c in CHANNEL_IDS},
-    )
-    effective.update({k: cfg[k] for k in explicit & _FIXED})
-    if explicit & _FIXED:
-        try:
-            spec = replace(spec, config=_system_config(effective))
-        except ValueError as exc:  # the spec's scenario names a bath the config lacks
-            raise ConfigError(f"sweep: {exc}") from exc
-    return effective, spec
-
-
-def _parse_sweep_dict(data: dict) -> SweepSpec:
-    """The spec of a config-file sweep section, whose values pass _checked
-    and whose keys _known as the top-level ones do. The keys of the section,
-    its scenario and each axis are the fields of SweepSpec,
-    TemperatureScenario and SweepAxis."""
-
-    def field(where: str, section: dict, kind: type, default=None):
-        return _checked(where, section.get(where.rpartition(".")[2], default), kind)
-
-    def names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
-
-    data = _known(data, "sweep", names(SweepSpec))
-    scen = _known(data.get("scenario", {}), "sweep.scenario", names(TemperatureScenario))
-    fixed = {**DEFAULTS, **_known(data.get("config", {}), "sweep.config", _FIXED)}
-    passive = data.get("passive", "base")
-    try:
-        axes = []
-        for i, ax in enumerate(field("sweep.axes", data, list)):
-            where = f"sweep.axes[{i}]"
-            ax = _known(ax, where, names(SweepAxis))
-            axes.append(SweepAxis(ax.get("name"), field(f"{where}.start", ax, float),
-                                  field(f"{where}.stop", ax, float), field(f"{where}.count", ax, int)))
-        return SweepSpec(
-            config=_system_config(_validate(fixed)),
-            scenario=TemperatureScenario(
-                hot=field("sweep.scenario.hot", scen, list, []),
-                base=field("sweep.scenario.base", scen, float, 1.0),
-                hot_temperature=field("sweep.scenario.hot_temperature", scen, float, 1.0),
-                overrides={bath: _checked(f"sweep.scenario.overrides.{bath}", t, float)
-                           for bath, t in field("sweep.scenario.overrides", scen, dict, {}).items()},
-            ),
-            axes=axes,
-            metrics=field("sweep.metrics", data, list, []),
-            passive=passive if isinstance(passive, str) else _checked("sweep.passive", passive, float),
-            repin_resonators=field("sweep.repin_resonators", data, bool, True),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+    own = _known(section.get("config", {}), "sweep.config", _SYSTEM_KEYS)
+    _system_config({**DEFAULTS, **own})  # the section's values are checked, even overridden ones
+    config = {key: cfg[key] if key in explicit else own.get(key, cfg[key]) for key in _SYSTEM_KEYS}
+    section = dict(section, config=config)
+    return dict(cfg, **config, preset=None, sweep=section), _parse_section(section)
 
 
 def cmd_sweep(spec: SweepSpec, out: str | None) -> int:
@@ -341,12 +228,11 @@ def main(argv=None) -> int:
     try:
         with _advisories():
             cfg, explicit = _load_config(args)
-            cfg, spec = _validate(cfg), None
+            config, spec = _validate(cfg), None
             if args.command == "sweep":
                 cfg, spec = _sweep_config(cfg, explicit)
             elif args.command == "verify" and cfg["jumps"] < MIN_JUMPS:
                 raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
-            config = _system_config(cfg) if spec is None else spec.config
             if args.dump_config:
                 print(json.dumps(cfg, indent=2, sort_keys=True))
                 return 0

@@ -6,6 +6,8 @@ system configuration. Every grid point is independent; per-point failures
 recorded in the row's flags column and never abort the run. Row order is the
 row-major order of the grid regardless of how many workers evaluate it.
 Each advisory (SystemConfig.advisories) warns once per sweep, in the calling process.
+A spec is built directly or parsed from a sweep section (_parse_section),
+a config file's or a preset's (PRESETS): the two are the same data.
 
 No metric is defined here: the scenarios and formulas of R_ll', R2 and C
 are transport.metric_scenarios and transport.metric_values, and the regime
@@ -19,9 +21,10 @@ with one %-format (_block_text).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain, product
 from math import ceil, inf, log10, pi
@@ -31,7 +34,7 @@ from types import NoneType
 import numpy as np
 
 from .circuit import CircuitParams
-from .errors import QutritHeatError
+from .errors import ConfigError, InvalidFlux, QutritHeatError
 from .rates import CHANNEL_IDS, channel_prefactors
 from .steady import FAILURE_KINDS, failure_codes, solve_scenarios
 from .transport import (
@@ -384,16 +387,17 @@ def _line_formatter():
 def _block_text(columns: list[list], full: str) -> list[str]:
     """The lines "".join(map(_line_formatter(), zip(*columns))) gives, as one
     string per 32 rows, where full is the _template of a row without a None
-    cell. The cells are interleaved into one flat list by slice assignment,
-    a row with a None cell taking the _template of its cells with "" for
-    None, and each 32 rows are one %-format: formatting a whole block at
-    once grows its text by reallocation, which raised peak RSS by 0.3 MB."""
+    cell and every row with a None cell has a non-empty last (flags) cell, as
+    engine rows do. The cells are interleaved into one flat list by slice
+    assignment, a flagged row taking the _template of its cells with "" for
+    None, and each 32 rows are one %-format: formatting a whole block at once
+    grows its text by reallocation, which raised peak RSS by 0.3 MB."""
     width, n = len(columns), len(columns[0])
     cells = [None] * (width * n)
     for i, column in enumerate(columns):
         cells[i::width] = column
     templates = [full] * n
-    for k in {k for column in columns if None in column for k, c in enumerate(column) if c is None}:
+    for k in [k for k, flags in enumerate(columns[-1]) if flags]:
         row = ["" if c is None else c for c in cells[k * width:(k + 1) * width]]
         cells[k * width:(k + 1) * width] = row
         templates[k] = _template(row)
@@ -448,63 +452,172 @@ def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Named presets reproducing the bundled parameter maps.
+# Sweep sections: the one parser of a spec, for config files and presets.
 # ---------------------------------------------------------------------------
 
+#: The system keys of a configuration, at the top level of a config file or
+#: in a sweep section's config: each key's kind (see _checked), its default
+#: and its --help text, then the metavar where argparse's own would mislead.
+#: A key whose default is None may also be null.
+_SYSTEM_KEYS = {
+    "ej": (float, 5.0, "Josephson energy (hbar*omega_r)"),
+    "ec": (float, 0.5, "charging energy (hbar*omega_r)"),
+    "flux": (float, pi / 2, "reduced flux phase (rad)"),
+    "q": (float, 100.0, "resonator quality factor"),
+    "lambda_res": (float, 1.0, "resonant coupling weight"),
+    "lambda_off": (float, 1.0, "off-resonant coupling weight"),
+    "merge": (str, None, "two channels sharing one reservoir, e.g. b,c", "L,L'"),
+    "omega_a": (float, None, "pin resonator a frequency (default: its transition)"),
+    "omega_b": (float, None, "pin resonator b frequency"),
+    "omega_c": (float, None, "pin resonator c frequency"),
+}
 
-def _map_preset(*axes: SweepAxis, base: float = 1.0, hot_temperature: float = 1.0,
-                overrides=(), lambda_off: float = 1.0, **spec) -> SweepSpec:
-    """A preset: a sweep of the map circuit (E_J = 5, E_C = 0.5, phi = pi/2)
-    at Q = 100 and lambda_res = 1 with bath a hot; spec may set metrics and
-    passive."""
-    return SweepSpec(
-        config=SystemConfig(circuit=CircuitParams(e_j=5.0, e_c=0.5, phi=pi / 2), q=100.0,
-                            lambda_res=1.0, lambda_off=lambda_off),
-        scenario=TemperatureScenario(hot=frozenset({"a"}), base=base,
-                                     hot_temperature=hot_temperature, overrides=overrides),
-        axes=axes, **spec,
-    )
+_EXPECTED = {int: "a non-negative integer", str: "a string", bool: "true or false",
+             list: "a list", dict: "a JSON object"}
 
 
+def _checked(where: str, value, kind: type):
+    """value if it is of kind, else a ConfigError that names `where`. Kind
+    str, bool, list or dict takes a value of that type, float any finite
+    number but true and false (returned as a float), and int a whole number
+    >= 0 within the float range."""
+    if kind in (float, int):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond any float
+            raise ConfigError(f"{where}: must be finite, got {value}")
+        if kind is float:
+            return float(value)
+    if not isinstance(value, kind) or (kind is int and value < 0):
+        raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
+def _known(data, where: str, allowed) -> dict:
+    """The JSON object `data`, all of whose keys are `allowed`."""
+    for key in _checked(where, data, dict):
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return data
+
+
+def _system_config(values: dict) -> SystemConfig:
+    """The SystemConfig of the _SYSTEM_KEYS of values, each _checked; the
+    values stay as given. A range error of CircuitParams or SystemConfig is
+    a ConfigError."""
+    for key, (kind, default, *_) in _SYSTEM_KEYS.items():
+        if values[key] is not None or default is not None:
+            _checked(key, values[key], kind)
+    merge = values["merge"]
+    merged = None if merge is None else tuple(p.strip() for p in merge.split(","))
+    if merged is not None and (len(merged) != 2 or merged[0] == merged[1]
+                               or not set(merged) <= set(CHANNEL_IDS)):
+        raise ConfigError(f"merge: expected two distinct channels of a,b,c, got {merge!r}")
+    try:
+        return SystemConfig(
+            circuit=CircuitParams(e_j=values["ej"], e_c=values["ec"], phi=values["flux"]),
+            q=values["q"], lambda_res=values["lambda_res"], lambda_off=values["lambda_off"],
+            merged=merged, resonators=tuple((c, values[f"omega_{c}"]) for c in CHANNEL_IDS
+                                            if values[f"omega_{c}"] is not None),
+        )
+    except (InvalidFlux, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_section(data: dict) -> SweepSpec:
+    """The spec of a sweep section (a PRESETS value or a config file's
+    `sweep`), whose values pass _checked and whose keys _known. The keys of
+    the section, its scenario and each axis are the fields of SweepSpec,
+    TemperatureScenario and SweepAxis; those of its config are _SYSTEM_KEYS,
+    each at its default when absent."""
+
+    def field(where: str, section: dict, kind: type, default=None):
+        return _checked(where, section.get(where.rpartition(".")[2], default), kind)
+
+    def names(cls) -> list[str]:
+        return [f.name for f in fields(cls)]
+
+    data = _known(data, "sweep", names(SweepSpec))
+    scen = _known(data.get("scenario", {}), "sweep.scenario", names(TemperatureScenario))
+    fixed = {key: default for key, (_, default, *_) in _SYSTEM_KEYS.items()}
+    fixed.update(_known(data.get("config", {}), "sweep.config", _SYSTEM_KEYS))
+    passive = data.get("passive", "base")
+    try:
+        axes = []
+        for i, ax in enumerate(field("sweep.axes", data, list)):
+            where = f"sweep.axes[{i}]"
+            ax = _known(ax, where, names(SweepAxis))
+            axes.append(SweepAxis(ax.get("name"), field(f"{where}.start", ax, float),
+                                  field(f"{where}.stop", ax, float), field(f"{where}.count", ax, int)))
+        return SweepSpec(
+            config=_system_config(fixed),
+            scenario=TemperatureScenario(
+                hot=field("sweep.scenario.hot", scen, list, []),
+                base=field("sweep.scenario.base", scen, float, 1.0),
+                hot_temperature=field("sweep.scenario.hot_temperature", scen, float, 1.0),
+                overrides={bath: _checked(f"sweep.scenario.overrides.{bath}", t, float)
+                           for bath, t in field("sweep.scenario.overrides", scen, dict, {}).items()},
+            ),
+            axes=axes,
+            metrics=field("sweep.metrics", data, list, []),
+            passive=passive if isinstance(passive, str) else _checked("sweep.passive", passive, float),
+            repin_resonators=field("sweep.repin_resonators", data, bool, True),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+
+
+def _axis(name: str, start: float, stop: float, count: int) -> dict:
+    return {"name": name, "start": start, "stop": stop, "count": count}
+
+
+#: Named sweep sections reproducing the bundled parameter maps, each a config
+#: file's `sweep` section as it could be copied there. Every one sweeps the
+#: map circuit (E_J = 5, E_C = 0.5, phi = pi/2) at Q = 100 and lambda_res = 1,
+#: the defaults of _SYSTEM_KEYS, with bath a hot; its config lists only the
+#: keys that differ.
 PRESETS = {
     # Operation-regime map over (T_b, T_a) with bath c fixed at 2.
-    "fig2": partial(_map_preset, SweepAxis("base_temperature", 0.2, 4.0, 201),
-                    SweepAxis("hot_temperature", 0.2, 4.0, 201), overrides=(("c", 2.0),)),
+    "fig2": {"axes": [_axis("base_temperature", 0.2, 4.0, 201), _axis("hot_temperature", 0.2, 4.0, 201)],
+             "scenario": {"hot": ["a"], "overrides": {"c": 2.0}}},
     # Currents versus T_a with T_b = 1.5 and T_c = 2 held fixed.
-    "fig3": partial(_map_preset, SweepAxis("hot_temperature", 2.0, 4.0, 501), base=1.5,
-                    hot_temperature=2.0, overrides=(("b", 1.5), ("c", 2.0))),
+    "fig3": {"axes": [_axis("hot_temperature", 2.0, 4.0, 501)],
+             "scenario": {"hot": ["a"], "base": 1.5, "hot_temperature": 2.0,
+                          "overrides": {"b": 1.5, "c": 2.0}}},
     # Three-terminal rectification maps in the perfectly filtered limit.
-    "fig4": partial(_map_preset, SweepAxis("base_temperature", 0.1, 4.0, 201),
-                    SweepAxis("hot_temperature", 0.1, 4.0, 201), lambda_off=0.0,
-                    metrics=("R_ab", "R_ac", "R_bc")),
+    "fig4": {"axes": [_axis("base_temperature", 0.1, 4.0, 201), _axis("hot_temperature", 0.1, 4.0, 201)],
+             "scenario": {"hot": ["a"]}, "metrics": ["R_ab", "R_ac", "R_bc"],
+             "config": {"lambda_off": 0.0}},
     # Same maps with leaky couplings at Q = 100.
-    "fig5": partial(_map_preset, SweepAxis("base_temperature", 0.1, 4.0, 201),
-                    SweepAxis("hot_temperature", 0.1, 4.0, 201), metrics=("R_ab", "R_ac", "R_bc")),
+    "fig5": {"axes": [_axis("base_temperature", 0.1, 4.0, 201), _axis("hot_temperature", 0.1, 4.0, 201)],
+             "scenario": {"hot": ["a"]}, "metrics": ["R_ab", "R_ac", "R_bc"]},
     # R_ab with the passive bath at the mean of the other two temperatures.
-    "fig6": partial(_map_preset, SweepAxis("base_temperature", 0.1, 4.0, 201),
-                    SweepAxis("hot_temperature", 0.1, 4.0, 201), metrics=("R_ab",), passive="mean"),
+    "fig6": {"axes": [_axis("base_temperature", 0.1, 4.0, 201), _axis("hot_temperature", 0.1, 4.0, 201)],
+             "scenario": {"hot": ["a"]}, "metrics": ["R_ab"], "passive": "mean"},
     # Circulation coefficient map at Q = 100, phi = pi/2.
-    "fig7": partial(_map_preset, SweepAxis("base_temperature", 0.05, 2.0, 201),
-                    SweepAxis("hot_temperature", 0.05, 4.0, 201), metrics=("C",)),
+    "fig7": {"axes": [_axis("base_temperature", 0.05, 2.0, 201),
+                      _axis("hot_temperature", 0.05, 4.0, 201)],
+             "scenario": {"hot": ["a"]}, "metrics": ["C"]},
     # Flux dependence of the circulation at base 0.9, hot temperature inside
     # the perfect-circulation window of the phi = pi/2 map. The flux range
     # stays inside the region where the fourth level clears the qutrit
     # (omega32 > 0 for these circuit parameters).
-    "fig7c": partial(_map_preset, SweepAxis("flux", -4.5, 4.5, 501), base=0.9,
-                     hot_temperature=3.86, metrics=("C",)),
+    "fig7c": {"axes": [_axis("flux", -4.5, 4.5, 501)],
+              "scenario": {"hot": ["a"], "base": 0.9, "hot_temperature": 3.86}, "metrics": ["C"]},
     # Circulation versus base temperature and quality factor at hot T = 2.
-    "fig8": partial(_map_preset, SweepAxis("base_temperature", 0.05, 2.0, 201),
-                    SweepAxis("log10_quality_factor", log10(50.0), 3.0, 201),
-                    hot_temperature=2.0, metrics=("C",)),
+    "fig8": {"axes": [_axis("base_temperature", 0.05, 2.0, 201),
+                      _axis("log10_quality_factor", log10(50.0), 3.0, 201)],
+             "scenario": {"hot": ["a"], "hot_temperature": 2.0}, "metrics": ["C"]},
 }
 
 
+def _preset_section(name: str) -> dict:
+    """PRESETS[name]; raises KeyError listing valid names when unknown."""
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; valid presets: {', '.join(sorted(PRESETS))}")
+    return PRESETS[name]
+
+
 def preset(name: str) -> SweepSpec:
-    """Named sweep spec; raises KeyError listing valid names when unknown."""
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; valid presets: {', '.join(sorted(PRESETS))}"
-        ) from None
-    return factory()
+    """The spec of PRESETS[name]; raises KeyError listing valid names when unknown."""
+    return _parse_section(_preset_section(name))

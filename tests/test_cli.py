@@ -24,7 +24,7 @@ from qutrit_heat import (
     run_sweep,
 )
 from qutrit_heat.cli import DEFAULTS, _load_config, _parser, _sweep_config, _validate, main
-from qutrit_heat.sweep import AXIS_NAMES, METRIC_COLUMNS
+from qutrit_heat.sweep import AXIS_NAMES, METRIC_COLUMNS, PRESETS, preset
 
 
 def run_cli(capsys, *argv):
@@ -299,18 +299,35 @@ class TestSweep:
         args = _parser().parse_args(
             ["sweep", "--preset", "fig4", "--lambda-off", "1", "--out", "x.csv"])
         cfg, explicit = _load_config(args)
-        spec = _sweep_config(_validate(cfg), explicit)[1]
+        _validate(cfg)
+        spec = _sweep_config(cfg, explicit)[1]
         assert spec.config.lambda_off == 1.0
 
-    def test_preset_dump_config_round_trips(self, tmp_path, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--preset", "fig4", "--dump-config")
-        assert code == 0 and json.loads(out)["lambda_off"] == 0.0
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_dump_config_round_trips(self, tmp_path, capsys, name):
+        # the dump names the grid that runs: the preset's resolved section
+        code, out, _ = run_cli(capsys, "sweep", "--preset", name, "--dump-config")
+        dump = json.loads(out)
+        assert (code, dump["preset"]) == (0, None)
+        assert dump["sweep"]["axes"] == PRESETS[name]["axes"]
         dumped = tmp_path / "dumped.json"
         dumped.write_text(out)
         args = _parser().parse_args(["sweep", "--config", str(dumped)])
         cfg, explicit = _load_config(args)
-        spec = _sweep_config(_validate(cfg), explicit)[1]
-        assert spec.config.lambda_off == 0.0
+        _validate(cfg)
+        assert repr(_sweep_config(cfg, explicit)[1]) == repr(preset(name))
+
+    def test_dump_with_a_flag_writes_the_same_bytes(self, tmp_path, capsys):
+        sections = json.dumps(PRESETS)
+        argv = ("sweep", "--preset", "fig7c", "--q", "50")
+        code, out, _ = run_cli(capsys, *argv, "--dump-config")
+        assert code == 0 and json.loads(out)["sweep"]["config"]["q"] == 50.0
+        dumped, direct, reloaded = tmp_path / "dumped.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        dumped.write_text(out)
+        assert run_cli(capsys, *argv, "--out", str(direct))[0] == 0
+        assert run_cli(capsys, "sweep", "--config", str(dumped), "--out", str(reloaded))[0] == 0
+        assert direct.read_bytes() == reloaded.read_bytes()
+        assert json.dumps(PRESETS) == sections  # the flag changed the run, not the preset
 
 
 SMALL_SWEEP = {"axes": [{"name": "hot_temperature", "start": 1.2, "stop": 3.0, "count": 2}],
@@ -342,6 +359,9 @@ SMALL_SWEEP = {"axes": [{"name": "hot_temperature", "start": 1.2, "stop": 3.0, "
     ("sweep", {"sweep": {}}, "sweep.axes"),
     ("sweep", {"preset": ""}, "preset"),
     ("verify", {"jumps": 10}, "jumps"),
+    # a preset and a sweep section: one of the two grids would be ignored
+    ("sweep", {"preset": "fig3", "sweep": SMALL_SWEEP}, "preset"),
+    ("sweep --preset fig3", {"sweep": SMALL_SWEEP}, "preset"),
 ])
 def test_config_value_that_would_crash_or_be_ignored_exits_2(
         tmp_path, capsys, command, data, named):
@@ -349,7 +369,7 @@ def test_config_value_that_would_crash_or_be_ignored_exits_2(
     cfg.write_text(json.dumps(data))
     out = () if "out" in data else ("--out", str(out_csv))
     for extra in ((), ("--dump-config",)):
-        code, stdout, err = run_cli(capsys, command, "--config", str(cfg), *out, *extra)
+        code, stdout, err = run_cli(capsys, *command.split(), "--config", str(cfg), *out, *extra)
         assert (code, stdout) == (2, ""), extra
         assert err.startswith("error: ") and named in err
     assert not out_csv.exists()

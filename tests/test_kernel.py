@@ -197,6 +197,7 @@ def test_sweep_cells_equal_the_scalar_api(spec):
     for row, want in zip(result.rows, wanted):
         got = dict(zip(result.columns, row))
         assert got["flags"] == want["flags"]
+        assert (None in row) == bool(got["flags"])  # the rows sweep._block_text templates
         for name in STATE + spec.metric_columns + ("regime", "residual"):
             assert got[name] == want[name], name
         if got["p0"] is None:

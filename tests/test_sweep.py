@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -510,12 +511,15 @@ class TestCsv:
     @given(data=st.data(), types=st.lists(st.sampled_from([float, str]), min_size=1, max_size=14),
            n=st.integers(1, 12), repeats=st.integers(1, 6))
     def test_block_text_equals_the_line_formatter(self, data, types, n, repeats):
-        # columns of one cell type each, with None in any cell, repeated to
-        # blocks of up to 72 rows, so that some span several 32-row formats
+        # columns of one cell type each, with None in any cell, then a flags
+        # column that, as in the engine's rows, is non-empty in every row
+        # holding a None; repeated to blocks of up to 72 rows, so that some
+        # span several 32-row formats
         draw = {float: FLOATS, str: TEXT}
-        columns = [data.draw(st.lists(st.none() | draw[t], min_size=n, max_size=n)) * repeats
-                   for t in types]
-        full = sweep._template([0.0 if t is float else "" for t in types])
+        columns = [data.draw(st.lists(st.none() | draw[t], min_size=n, max_size=n)) for t in types]
+        flags = [data.draw(FLAGS.filter(bool) if None in row else FLAGS) for row in zip(*columns)]
+        columns = [column * repeats for column in (*columns, flags)]
+        full = sweep._template([0.0 if t is float else "" for t in types] + [""])
         text = sweep._block_text(columns, full)
         assert "".join(text) == "".join(map(sweep._line_formatter(), zip(*columns)))
         assert len(text) == (n * repeats + 31) // 32
@@ -663,6 +667,10 @@ class TestPresets:
         assert set(PRESETS) == {
             "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig7c", "fig8",
         }
+
+    def test_presets_are_json_sweep_sections(self):
+        # each value is data that a config file's sweep section can hold
+        assert json.loads(json.dumps(PRESETS)) == PRESETS
 
     def test_fig3_shape(self):
         s = preset("fig3")
