@@ -105,22 +105,25 @@ def _validate(cfg: dict) -> SystemConfig:
     """The system configuration of cfg (_system_config, whose CircuitParams
     and SystemConfig check the ranges of the system values), once each key's
     kind and the temperatures are checked; the values stay as given, for
-    --dump-config. The channels of a merged bath must share a temperature."""
+    --dump-config."""
     for key, (kind, default, *_) in _KEYS.items():
         if cfg[key] is not None or default is not None:
             _checked(key, cfg[key], kind)
     for key in ("ta", "tb", "tc"):
         if cfg[key] < 0:
             raise ConfigError(f"{key}: temperature must be >= 0, got {cfg[key]}")
-    config = _system_config(cfg)
+    return _system_config(cfg)
+
+
+def _temperatures(config: SystemConfig, cfg: dict) -> dict[str, float]:
+    """Each bath's temperature, from cfg's ta, tb and tc; the channels of a
+    merged bath must share one. Only steady and verify read them."""
     if config.merged:
         t1, t2 = (cfg[f"t{c}"] for c in config.merged)
         if t1 != t2:
-            raise ConfigError(
-                f"merge: channels {','.join(config.merged)} share a reservoir and must "
-                f"share a temperature (got {t1} and {t2})"
-            )
-    return config
+            raise ConfigError(f"merge: channels {','.join(config.merged)} share a reservoir "
+                              f"and must share a temperature (got {t1} and {t2})")
+    return {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
 
 
 def _fmt(value: float, human: bool) -> str:
@@ -231,14 +234,15 @@ def main(argv=None) -> int:
             config, spec = _validate(cfg), None
             if args.command == "sweep":
                 cfg, spec = _sweep_config(cfg, explicit)
-            elif args.command == "verify" and cfg["jumps"] < MIN_JUMPS:
-                raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
+            else:
+                temps = _temperatures(config, cfg)
+                if args.command == "verify" and cfg["jumps"] < MIN_JUMPS:
+                    raise ConfigError(f"jumps: must be at least {MIN_JUMPS}, got {cfg['jumps']}")
             if args.dump_config:
                 print(json.dumps(cfg, indent=2, sort_keys=True))
                 return 0
             if spec is not None:
                 return cmd_sweep(spec, cfg["out"])
-            temps = {config.bath_of(cid): cfg[f"t{cid}"] for cid in CHANNEL_IDS}
             for note in config.advisories():
                 warnings.warn(note)
             if args.command == "steady":

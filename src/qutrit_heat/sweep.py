@@ -15,7 +15,7 @@ labels transport.regimes. Each block of grid points is one kernel call on
 every valid point (one whose spectrum derives) at each distinct scenario
 template: valid points x templates scenarios, at most BLOCK_SCENARIOS
 unless one point has more templates. What every block shares is
-planned once per sweep (_plan), and the CSV stream formats every 32 rows
+planned once per sweep (_plan), and both CSV writers format every 32 rows
 with one %-format (_block_text).
 """
 
@@ -29,7 +29,6 @@ from functools import partial
 from itertools import chain, product
 from math import ceil, inf, log10, pi
 from pathlib import Path
-from types import NoneType
 
 import numpy as np
 
@@ -369,35 +368,20 @@ def _template(row) -> str:
                     for c in row) + "\n"
 
 
-def _line_formatter():
-    """The CSV line of a row: one %-format of its _template, cached per row
-    of cell types, with the None cells dropped."""
-    templates: dict[tuple[type, ...], tuple[str, bool]] = {}
-
-    def line(row: tuple) -> str:
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = _template(row), NoneType in types
-        template, sparse = templates[types]
-        return template % (tuple(c for c in row if c is not None) if sparse else row)
-
-    return line
-
-
-def _block_text(columns: list[list], full: str) -> list[str]:
-    """The lines "".join(map(_line_formatter(), zip(*columns))) gives, as one
-    string per 32 rows, where full is the _template of a row without a None
-    cell and every row with a None cell has a non-empty last (flags) cell, as
-    engine rows do. The cells are interleaved into one flat list by slice
-    assignment, a flagged row taking the _template of its cells with "" for
-    None, and each 32 rows are one %-format: formatting a whole block at once
-    grows its text by reallocation, which raised peak RSS by 0.3 MB."""
+def _block_text(columns, full: str, own: list[int]) -> list[str]:
+    """The CSV lines of a block of rows, given as one sequence per column,
+    as one string per 32 rows: each row's _template, where full is that of
+    every row not in `own` (none holds a None cell), and the rows at the
+    indices `own` take the _template of their cells with "" for None. The
+    cells are interleaved into one flat list by slice assignment, and each
+    32 rows are one %-format: formatting a whole block at once grows its
+    text by reallocation, which raised peak RSS by 0.3 MB."""
     width, n = len(columns), len(columns[0])
     cells = [None] * (width * n)
     for i, column in enumerate(columns):
         cells[i::width] = column
     templates = [full] * n
-    for k in [k for k, flags in enumerate(columns[-1]) if flags]:
+    for k in own:
         row = ["" if c is None else c for c in cells[k * width:(k + 1) * width]]
         cells[k * width:(k + 1) * width] = row
         templates[k] = _template(row)
@@ -413,27 +397,37 @@ def _opened(destination):
 
 
 def write_csv(result: SweepResult, destination) -> None:
-    """Write the header and one line per row to a path or a text stream.
-
-    No field is quoted: column names, regime labels and flags hold no comma,
-    quote or line break. The bytes depend on the rows only, not on the worker
-    count or BLOCK_SCENARIOS; _line_formatter gives each line.
+    """Write the header and one line per row to a path or a text stream,
+    BLOCK_SCENARIOS rows at a time through _block_text: a row of an engine
+    row's cell types (regime and flags text, every other cell a float)
+    takes the shared template, any other row its own. A row whose length is
+    not the header's raises ValueError, once the blocks before it are
+    written. No field is quoted: column names, regime labels and flags hold
+    no comma, quote or line break. The bytes depend on the rows only.
     """
+    types = tuple(str if name in ("regime", "flags") else float for name in result.columns)
+    full = _template([0.0 if t is float else "" for t in types])
     with _opened(destination) as stream:
         stream.write(",".join(result.columns) + "\n")
-        stream.writelines(map(_line_formatter(), result.rows))
+        for start in range(0, len(result.rows), BLOCK_SCENARIOS):
+            rows = result.rows[start:start + BLOCK_SCENARIOS]
+            own = [k for k, row in enumerate(rows) if tuple(map(type, row)) != types]
+            for k in own:
+                if len(rows[k]) != len(types):
+                    raise ValueError(f"row {start + k} has {len(rows[k])} cells, the header {len(types)}")
+            stream.writelines(_block_text(list(zip(*rows)), full, own))
 
 
 def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
     """Evaluate the grid and write its CSV to a path or a text stream, block
     by block, holding one block (the points of at most BLOCK_SCENARIOS
     kernel scenarios, as run_sweep sizes it) and its rows at a time. The
-    bytes and the advisories equal write_csv(run_sweep(spec),
-    destination)'s. Each axis value is formatted once per sweep, each
-    distinct residual once per block, and every 32 rows with one %-format
-    (_block_text). Writing starts with the first block, so a failed run can
-    leave a partial file. Returns the rows and the rows flagged undefined
-    and error.
+    bytes and the advisories equal write_csv(run_sweep(spec), destination)'s;
+    both format through _block_text, and here a flagged row (each row with
+    a None cell) takes its own template. Only this writer caches cells: each
+    axis value once per sweep and each distinct residual, never -0.0, once
+    per block. Writing starts with the first block, so a failed run can
+    leave a partial file. Returns the rows and those flagged undefined and error.
     """
     evaluated = _evaluated(spec)  # the advisories come before the destination opens
     axis_cells = [{v: "%.17g" % v for v in ax.values()} for ax in spec.axes]
@@ -446,7 +440,7 @@ def write_sweep(spec: SweepSpec, destination) -> tuple[int, int, int]:
             residual = {r: None if r is None else "%.17g" % r for r in set(columns[-2])}
             for i, cells in (*enumerate(axis_cells), (-2, residual)):
                 columns[i] = list(map(cells.__getitem__, columns[i]))
-            stream.writelines(_block_text(columns, full))
+            stream.writelines(_block_text(columns, full, [k for k, flags in enumerate(columns[-1]) if flags]))
             counts = tuple(map(sum, zip(counts, (len(columns[-1]), *_flag_counts(columns[-1])))))
     return counts
 

@@ -503,6 +503,22 @@ def test_preset_scenario_bath_missing_from_merged_config_exits_2(tmp_path, capsy
     assert not out_csv.exists()
 
 
+def test_sweep_ignores_the_merged_channels_temperatures(tmp_path, capsys):
+    # a sweep takes its temperatures from its section, so ta, tb and tc may
+    # differ across a merged pair; steady and verify, which read them, exit 2
+    for extra in ((), ("--dump-config",)):
+        outs = [tmp_path / "plain.csv", tmp_path / "tb.csv"]
+        for out_csv, temps in zip(outs, ((), ("--tb", "2"))):
+            code, _, err = run_cli(capsys, "sweep", "--preset", "fig7c", "--merge", "b,c", *temps,
+                                   "--out", str(out_csv), *extra)
+            assert (code, err) == (0, "")
+        if not extra:
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+        for command in ("steady", "verify"):
+            code, out, err = run_cli(capsys, command, "--merge", "b,c", "--tb", "2", *extra)
+            assert (code, out) == (2, "") and err.startswith("error: merge: channels b,c")
+
+
 class TestVerify:
     def test_equilibrium_verifies(self, capsys):
         code, out, _ = run_cli(

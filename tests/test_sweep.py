@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qutrit_heat import (
@@ -498,6 +498,12 @@ class TestCsv:
 
     @settings(max_examples=300, deadline=None)
     @given(result=sweep_results())
+    # 0.0 and -0.0 in the same state and residual columns: equal as keys,
+    # unequal as text, so a cache keyed by float value fails here at once
+    @example(result=SweepResult(
+        columns=("flux", *STATE_COLUMNS, "regime", "residual", "flags"),
+        rows=((0.0, 0.0, 1.0, 0.0, 0.0, -0.0, 0.0, "none", 0.0, ""),
+              (0.0, -0.0, 1.0, -0.0, -0.0, 0.0, 0.0, "none", -0.0, ""))))
     def test_bytes_equal_the_csv_module(self, result):
         assert written(result) == reference_csv(result)
 
@@ -511,18 +517,47 @@ class TestCsv:
     @given(data=st.data(), types=st.lists(st.sampled_from([float, str]), min_size=1, max_size=14),
            n=st.integers(1, 12), repeats=st.integers(1, 6))
     def test_block_text_equals_the_line_formatter(self, data, types, n, repeats):
-        # columns of one cell type each, with None in any cell, then a flags
-        # column that, as in the engine's rows, is non-empty in every row
-        # holding a None; repeated to blocks of up to 72 rows, so that some
-        # span several 32-row formats
+        # write_sweep's rule against the csv module's lines: columns of one
+        # cell type each, with None in any cell, then a flags column that, as
+        # in the engine's rows, is non-empty in every row holding a None, and
+        # only the flagged rows take their own template; repeated to blocks
+        # of up to 72 rows, so that some span several 32-row formats
         draw = {float: FLOATS, str: TEXT}
         columns = [data.draw(st.lists(st.none() | draw[t], min_size=n, max_size=n)) for t in types]
         flags = [data.draw(FLAGS.filter(bool) if None in row else FLAGS) for row in zip(*columns)]
         columns = [column * repeats for column in (*columns, flags)]
         full = sweep._template([0.0 if t is float else "" for t in types] + [""])
-        text = sweep._block_text(columns, full)
-        assert "".join(text) == "".join(map(sweep._line_formatter(), zip(*columns)))
+        text = sweep._block_text(columns, full, [k for k, f in enumerate(columns[-1]) if f])
+        result = SweepResult(columns=tuple(f"c{i}" for i in range(len(columns))),
+                             rows=tuple(zip(*columns)))
+        assert "".join(text) == reference_csv(result).partition("\n")[2]
         assert len(text) == (n * repeats + 31) // 32
+
+    def test_rows_across_row_blocks_equal_the_csv_module(self):
+        # write_csv converts BLOCK_SCENARIOS rows at a time; every row differs
+        # in its first cell, and engine rows (the shared template), error rows
+        # and rows of other cell types (their own) alternate across each boundary
+        columns = ("flux", *STATE_COLUMNS, "C", "regime", "residual", "flags")
+
+        def row(k: int) -> tuple:
+            return [(float(k), 0.25, 0.5, 0.25, 1e-3 * k, -1e-3 * k, -0.0, -1.0, "R_a", 1e-17, ""),
+                    (float(k), *[None] * 9, "error:InvalidFlux"),
+                    (k, "x", None, 0.5, -0.0, True, float(k), None, "none", 2.0, "undefined:C")][k % 3]
+
+        result = SweepResult(columns, tuple(map(row, range(2 * sweep.BLOCK_SCENARIOS + 5))))
+        assert sweep.BLOCK_SCENARIOS % 3 == 0  # an own-template row ends each block
+        assert written(result) == reference_csv(result)
+
+    @pytest.mark.parametrize("cells", [9, 11])
+    def test_ragged_row_raises(self, cells):
+        # zip would cut a long row to the header's width, or a short one the
+        # whole block; write_csv names the row instead
+        columns = ("flux", *STATE_COLUMNS, "regime", "residual", "flags")
+        row = (1.0, 0.25, 0.5, 0.25, 0.0, 0.0, 0.0, "none", 0.0, "")
+        rows = (row,) * (sweep.BLOCK_SCENARIOS + 3) + ((row + ("",))[:cells],) + (row,)
+        with pytest.raises(ValueError, match=f"row {sweep.BLOCK_SCENARIOS + 3} has {cells} cells, "
+                                             "the header 10"):
+            write_csv(SweepResult(columns, rows), io.StringIO())
 
     def test_engine_strings_need_no_quoting(self):
         # the writer has no quoting path, so no string the engine emits may need one
