@@ -10,10 +10,12 @@ The estimator (Gillespie, J. Phys. Chem. 81, 2340, 1977) walks the jump
 chain in chunks, without a Python loop per jump, and draws no waiting
 times: each jump counts for its conditional mean wait, the inverse exit
 rate of the state it leaves (Rao-Blackwellisation; Casella and Robert,
-Biometrika 83, 81, 1996). An interval lookup names each jump's outcome, a
-prefix scan of next-state maps gives the trajectory, and each batch keeps
-integer jump counts, from which its times and heats follow. Its uniforms
-are a SplitMix64 counter stream (Steele, Lea and Flood, OOPSLA 2014).
+Biometrika 83, 81, 1996). Its uniforms are a SplitMix64 counter stream
+(Steele, Lea and Flood, OOPSLA 2014). A 4096-bucket table, indexed by the
+top 12 bits of each stream word, names most jumps' outcome interval; a
+jump whose bucket holds a breakpoint of the outcome tables is searched
+exactly. A prefix scan of next-state maps gives the trajectory, and each
+batch keeps integer jump counts, from which its times and heats follow.
 """
 
 from __future__ import annotations
@@ -288,8 +290,8 @@ def _scan(start: int, codes: np.ndarray, compose: np.ndarray) -> tuple[np.ndarra
 _GOLDEN, _M1, _M2, _MASK = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 2**64 - 1
 
 
-def _mix(z):
-    """SplitMix64's mixer of a 64-bit Python int, or of a uint64 array (which wraps silently)."""
+def _mix(z: int) -> int:
+    """SplitMix64's mixer of a 64-bit Python int."""
     z = ((z ^ (z >> 30)) * _M1) & _MASK
     z = ((z ^ (z >> 27)) * _M2) & _MASK
     return z ^ (z >> 31)
@@ -304,11 +306,48 @@ def _stream_key(seed: int, n_jumps: int) -> int:
     return key
 
 
-def _uniforms(key: int, start: int, size: int) -> np.ndarray:
-    """Doubles start .. start + size - 1 of the stream: double k, in [0, 1),
-    is _mix(key + (k + 1) * _GOLDEN) >> 11 times 2**-53, whatever the split."""
-    counter = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-    return (_mix(counter * _GOLDEN + key) >> 11) * 2.0**-53
+def _words(key: int, start: int, size: int) -> np.ndarray:
+    """Words start .. start + size - 1 of the stream, whatever the split: word
+    k is _mix(key + (k + 1) * _GOLDEN) mod 2**64, and its double in [0, 1) is
+    (word >> 11) * 2**-53. Mixed in place on one uint64 buffer, which wraps
+    silently, with one scratch buffer for the shifts."""
+    z = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += key
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, 30, out=shifted)
+    z *= _M1
+    z ^= np.right_shift(z, 27, out=shifted)
+    z *= _M2
+    z ^= np.right_shift(z, 31, out=shifted)
+    return z
+
+
+#: Buckets of the stream words' top bits: word >> 52 is 0 .. _BUCKETS - 1.
+_BUCKET_BITS = 12
+_BUCKETS = 1 << _BUCKET_BITS
+
+
+def _bucket_tables(breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interval lookup of the sorted breakpoints breaks, by the top bits
+    of a stream word. Bucket k holds the doubles u in [k, k + 1) / _BUCKETS;
+    below[k], breaks.searchsorted(k / _BUCKETS), counts the breakpoints under
+    all of them, and ambiguous[k] marks a breakpoint in the bucket (one on
+    its lower edge too: u may equal it), where u's own count can be larger.
+    At most one bucket per breakpoint is ambiguous."""
+    edges = breaks.searchsorted(np.arange(_BUCKETS + 1) * (1.0 / _BUCKETS))
+    return edges[:-1].astype(np.uint8), edges[1:] != edges[:-1]
+
+
+def _intervals(words: np.ndarray, breaks: np.ndarray, below: np.ndarray,
+               ambiguous: np.ndarray) -> np.ndarray:
+    """breaks.searchsorted(u) of each word's double u, exactly (uint8): read
+    from the _bucket_tables of breaks by the word's top bits, and searched
+    for the words of ambiguous buckets alone."""
+    top = (words >> 64 - _BUCKET_BITS).view(np.intp)
+    interval, exact = below.take(top), np.flatnonzero(ambiguous.take(top))
+    interval[exact] = breaks.searchsorted((words[exact] >> 11) * 2.0**-53)
+    return interval
 
 
 def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: np.ndarray,
@@ -329,12 +368,15 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     a function of the arguments alone, bit for bit.
 
     Jump k leaves s for the first outcome of s's table whose cumulative
-    probability is at least u[k], double k of the SplitMix64 stream of seed and
-    n_jumps (_stream_key, _uniforms). In chunks of at most CHUNK_JUMPS jumps,
-    none spanning the end of the burn-in or of a batch, u[k]'s interval among
-    the merged outcome tables (_interval_tables) names the jump's next-state
-    map, a prefix scan of the maps (_scan) gives the states the jumps leave, and
-    a bincount adds the jumps to their batch's counts.
+    probability is at least u[k] = (w[k] >> 11) * 2**-53, w[k] word k of the
+    SplitMix64 stream of seed and n_jumps (_stream_key, _words). In chunks of
+    at most CHUNK_JUMPS jumps, none spanning the end of the burn-in or of a
+    batch, u[k]'s interval among the merged outcome tables (_interval_tables)
+    names the jump's next-state map. The interval is read from a table of
+    4096 buckets by w[k]'s top 12 bits (_bucket_tables); in a bucket that
+    holds a breakpoint, at most one per breakpoint, it is searched for
+    exactly (_intervals). A prefix scan of the maps (_scan) gives the states
+    the jumps leave, and a bincount adds the jumps to their batch's counts.
 
     Each sigma is the spread of the 50 batch means, floored at one count
     over the total time T: (1/r_s)/T for p_s, and the largest |E_j - E_i|
@@ -371,6 +413,7 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
         cum[i, :len(j)], target[i, :len(j)], channel[i, :len(j)] = acc / acc[-1], j, ci
 
     breaks, code, outcome = _interval_tables(cum, target)
+    below, ambiguous = _bucket_tables(breaks)
     compose = _compose_table()
     # flow[k, i, l, s]: 1 if the jump of interval k from state i goes into s
     # through channel l, -1 if it leaves s through l, else 0 (so 0 for a
@@ -387,11 +430,8 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     def chunk(state: int, start: int, size: int) -> tuple[np.ndarray, int]:
         """Jumps start .. start + size - 1 of the run, from state: their kind
         3 * interval + the state they leave, and the state after them."""
-        u = _uniforms(key, start, size)
-        interval = np.zeros(size, dtype=np.intp)
-        for b in breaks:  # breaks.searchsorted(u), without its mispredicted branches
-            interval += u > b
-        states, state = _scan(state, code[interval], compose)
+        interval = _intervals(_words(key, start, size), breaks, below, ambiguous)
+        states, state = _scan(state, code.take(interval), compose)
         return 3 * interval + states, state
 
     state = 0

@@ -372,19 +372,23 @@ def _block_text(columns, full: str, own: list[int]) -> list[str]:
     """The CSV lines of a block of rows, given as one sequence per column,
     as one string per 32 rows: each row's _template, where full is that of
     every row not in `own` (none holds a None cell), and the rows at the
-    indices `own` take the _template of their cells with "" for None. The
-    cells are interleaved into one flat list by slice assignment, and each
-    32 rows are one %-format: formatting a whole block at once grows its
-    text by reallocation, which raised peak RSS by 0.3 MB."""
+    indices `own` take the _template of their cells with "" for None, built
+    once per tuple of cell types, of which it is a function. The cells are
+    interleaved into one flat list by slice assignment, and each 32 rows are
+    one %-format: formatting a whole block at once grows its text by
+    reallocation, which raised peak RSS by 0.3 MB."""
     width, n = len(columns), len(columns[0])
     cells = [None] * (width * n)
     for i, column in enumerate(columns):
         cells[i::width] = column
-    templates = [full] * n
+    templates, by_types = [full] * n, {}
     for k in own:
         row = ["" if c is None else c for c in cells[k * width:(k + 1) * width]]
         cells[k * width:(k + 1) * width] = row
-        templates[k] = _template(row)
+        types = tuple(map(type, row))
+        if types not in by_types:
+            by_types[types] = _template(row)
+        templates[k] = by_types[types]
     return ["".join(templates[k:k + 32]) % tuple(cells[k * width:(k + 32) * width])
             for k in range(0, n, 32)]
 

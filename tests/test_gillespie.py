@@ -1,8 +1,8 @@
 """Jump-process estimator tests: determinism, equilibrium, solver agreement,
 the seed contract, its pick stream against a pure-Python SplitMix64,
 bit-for-bit agreement with a jump-by-jump reference walk and across chunk
-sizes, its interval lookup and prefix scan against brute force, memory,
-and the calibration of its z-scores."""
+sizes, its interval lookup, bucket lookup and prefix scan against brute
+force, memory, and the calibration of its z-scores."""
 
 from __future__ import annotations
 
@@ -28,11 +28,14 @@ from qutrit_heat.rates import thermal_rates
 from qutrit_heat.steady import (
     CHUNK_JUMPS,
     MIN_JUMPS,
+    _BUCKETS,
+    _bucket_tables,
     _compose_table,
     _interval_tables,
+    _intervals,
     _scan,
     _stream_key,
-    _uniforms,
+    _words,
 )
 
 CIRCUIT = CircuitParams(e_j=5.0, e_c=0.5, phi=math.pi / 2)
@@ -188,12 +191,16 @@ def test_pick_stream_equals_a_pure_python_splitmix64():
     assert len(set(keys)) == len(cases)
     key, n_burn = keys[0], n_jumps // 100
     stop = n_burn + CHUNK_JUMPS + 3  # past the burn-in and one chunk after it
+
+    def doubles(start, size):
+        return ((_words(key, start, size) >> 11) * 2**-53).tolist()
+
     expected = [reference_double(key, k) for k in range(stop)]
     assert all(0.0 <= u < 1.0 for u in expected)
-    assert _uniforms(key, 0, stop).tolist() == expected
-    pieces = [_uniforms(key, a, b - a) for a, b in pairwise((0, n_burn, n_burn + CHUNK_JUMPS, stop))]
-    assert np.concatenate(pieces).tolist() == expected
-    assert _uniforms(key, 2**40, 3).tolist() == [reference_double(key, 2**40 + k) for k in range(3)]
+    assert doubles(0, stop) == expected
+    pieces = [doubles(a, b - a) for a, b in pairwise((0, n_burn, n_burn + CHUNK_JUMPS, stop))]
+    assert sum(pieces, []) == expected
+    assert doubles(2**40, 3) == [reference_double(key, 2**40 + k) for k in range(3)]
 
 
 def reference_estimate(freqs, prefactors, temperatures, n_jumps, seed):
@@ -358,6 +365,38 @@ def test_interval_tables_equal_a_brute_force_argmax(rows, targets):
             first = int((u <= cum[i]).argmax())
             assert outcome[k, i] == first, (u, i)
             assert apply_code(int(code[k]), i) == target[i, first], (u, i)
+
+
+def near_bucket_edges(k):
+    """The bucket edge k / _BUCKETS and the doubles on either side of it, in [0, 1]."""
+    edge = k / _BUCKETS
+    return [v for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)) if 0.0 <= v <= 1.0]
+
+
+# breakpoints drawn from the bucket edges and their neighbours and a few
+# other values, with repeats, sorted and closed by 1.0, as _interval_tables
+# gives them for up to 3 x 7 outcomes
+BREAK_VALUES = (st.integers(0, _BUCKETS).flatmap(lambda k: st.sampled_from(near_bucket_edges(k)))
+                | st.sampled_from([0.0, 0.3, 1 / 3, 0.5, 0.999, 1.0]))
+BREAKS = st.lists(BREAK_VALUES, max_size=20).map(lambda v: np.array(sorted(v) + [1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(breaks=BREAKS)
+def test_bucket_lookup_equals_searchsorted(breaks):
+    below, ambiguous = _bucket_tables(breaks)
+    # a word's double is (word >> 11) * 2**-53, its bucket word >> 52
+    words = [0, 2**64 - 1]
+    for k in range(_BUCKETS):
+        words += [k << 52, max((k << 52) - 1, 0), (k << 52) | 2**11 - 1]
+    for b in breaks.tolist():
+        m = math.floor(b * 2**53)  # the stream double at or below b, as a multiple of 2**-53
+        words += [min(j, 2**53 - 1) << 11 for j in range(max(m - 1, 0), m + 3)]
+    words = np.array(words, dtype=np.uint64)
+    u = (words >> 11) * 2**-53
+    assert _intervals(words, breaks, below, ambiguous).tolist() == breaks.searchsorted(u).tolist()
+    # at most one bucket per breakpoint falls back to searchsorted
+    assert int(ambiguous.sum()) <= len(breaks)
 
 
 def test_estimate_memory_does_not_grow_with_the_jump_count(equilibrium_channels):

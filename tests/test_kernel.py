@@ -217,6 +217,28 @@ def test_sweep_cells_equal_the_scalar_api(spec):
                 assert abs(got[c]) <= 1e-12 * want["_scale"] + SUBNORMAL_FLOOR
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=specs())
+def test_rows_obey_the_second_law(spec):
+    # Entropy production sigma = -sum_l J_l / T_l >= 0 under local detailed
+    # balance (Spohn, J. Math. Phys. 19, 1227, 1978), J_l the heat out of
+    # channel l's bath. At equal temperatures sigma is rounding noise of the
+    # currents, so each row may fall short by 4 epsilon scale / T_min, the
+    # scale being the scalar API's.
+    spec = replace(spec, metrics=())  # a metric's 0/0 would flag the row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_sweep(spec)
+        wanted = [scalar_row(spec, value) for (value,) in spec.grid()]
+    for row, want in zip(result.rows, wanted):
+        got = dict(zip(result.columns, row))
+        if got["flags"] or min((temps := want["_temps"]).values()) <= 0.0:
+            continue
+        t = [temps[want["_cfg"].bath_of(c)] for c in "abc"]
+        sigma = -(got["j_a"] / t[0] + got["j_b"] / t[1] + got["j_c"] / t[2])
+        assert sigma >= -4.0 * np.finfo(float).eps * want["_scale"] / min(t), (sigma, t)
+
+
 def csv_bytes(result) -> bytes:
     buf = io.StringIO()
     write_csv(result, buf)

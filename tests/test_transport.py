@@ -253,6 +253,19 @@ class TestCirculation:
         ccw = j["c"]["a"] * j["b"]["c"] * j["a"]["b"]
         assert abs(cw - ccw) > 1e-6 * max(abs(cw), abs(ccw))
 
+    def test_scale_product_beyond_the_float_range(self):
+        # at Q = 1e-156 each scenario's scale is near 1e155, so their product
+        # overflows: C is then the formula on each scenario's currents over
+        # its own scale, with no floating-point warning
+        cfg = config(q=1e-156)
+        currents, scales = [], []
+        for m in "abc":
+            _, cur = solve_temperatures(cfg, {b: 3.86 if b == m else 0.9 for b in "abc"})
+            currents.append([cur.j_a / cur.scale, cur.j_b / cur.scale, cur.j_c / cur.scale])
+            scales.append(cur.scale)
+        assert math.prod(scales) == math.inf
+        assert circulation(cfg, 0.9, 3.86) == value("C", *currents)
+
     def test_merged_config_rejected(self):
         with pytest.raises(ValueError):
             circulation(config(merged=("a", "b")), 0.9, 2.0)
