@@ -7,15 +7,18 @@ perfectly filtered limit (cross-check), and a jump-process Monte Carlo
 estimator that takes the solve's inputs at N = 1.
 
 The estimator (Gillespie, J. Phys. Chem. 81, 2340, 1977) walks the jump
-chain in chunks, without a Python loop per jump, and draws no waiting
-times: each jump counts for its conditional mean wait, the inverse exit
-rate of the state it leaves (Rao-Blackwellisation; Casella and Robert,
-Biometrika 83, 81, 1996). Its uniforms are a SplitMix64 counter stream
-(Steele, Lea and Flood, OOPSLA 2014). A 4096-bucket table, indexed by the
-top 12 bits of each stream word, names most jumps' outcome interval; a
-jump whose bucket holds a breakpoint of the outcome tables is searched
-exactly. A prefix scan of next-state maps gives the trajectory, and each
-batch keeps integer jump counts, from which its times and heats follow.
+chain in fixed-size chunks that ignore the batch ends, without a Python
+loop per jump, and draws no waiting times: each jump counts for its
+conditional mean wait, the inverse exit rate of the state it leaves
+(Rao-Blackwellisation; Casella and Robert, Biometrika 83, 81, 1996). Its
+uniforms are a SplitMix64 counter stream (Steele, Lea and Flood, OOPSLA
+2014). A 4096-bucket table, indexed by the top 12 bits of each stream
+word, names most jumps' outcome interval; a jump whose bucket holds a
+breakpoint of the outcome tables is searched exactly. A state-halving walk
+gives the trajectory: it composes adjacent pairs of next-state maps by
+table lookup, walks the pairs, and reads the states within each pair from
+one more table. Each batch keeps integer jump counts, from which its times
+and heats follow.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ MIN_JUMPS = 10_000
 _BATCHES = 50
 #: Jumps gillespie_estimate walks at once, which bounds its memory whatever
 #: n_jumps is. No result depends on it.
-CHUNK_JUMPS = 8192
+CHUNK_JUMPS = 16384
 
 #: A next-state map of the three states is a code in 0..26 whose base-3
 #: digit s, code // 3**s % 3, is the state it sends state s to.
@@ -257,33 +260,50 @@ def _interval_tables(cum: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, .
     return breaks, code, outcome
 
 
-def _compose_table() -> np.ndarray:
-    """The code of map a followed by map b, at 27 * a + b. It is built per
-    estimate, not at import: numpy work at import raised the peak memory of
-    every command."""
-    digits = np.arange(27)[:, None] // _DIGIT_WEIGHTS % 3
-    return (digits[np.arange(27)[None, :, None], digits[:, None, :]] @ _DIGIT_WEIGHTS).ravel()
+def _walk_tables(code: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """_walk's lookups, for letters that are a chunk's intervals, interval x
+    standing for the map code[x], and for letters that are the 27 map codes
+    themselves. Each is (compose, split), read at a pair of adjacent uint8
+    letters (x, y) taken as one little-endian uint16 p = x + 256 y: compose[p]
+    is the code of map x followed by map y (uint8), and split[3 * p + s] the
+    states before x and before y, from s before x, as the little-endian uint8
+    pair (s, x's image of s); at p = x, split >> 8 is x's image of s. They
+    are built per estimate, not at import: numpy work at import raised the
+    peak memory of every command."""
+    digits = np.arange(27)[:, None] // _DIGIT_WEIGHTS % 3  # digits[a, s]: a's image of s
+    composed = digits[:, digits] @ _DIGIT_WEIGHTS  # composed[b, a]: a, then b
+
+    def tables(code):
+        compose = np.zeros((len(code), 256), dtype=np.uint8)
+        compose[:, :len(code)] = composed[code[:, None], code]
+        split = np.zeros((len(code), 768), dtype="<u2")
+        split[:, :3 * len(code)] = (np.arange(3) + 256 * digits[code]).ravel()
+        return compose.ravel(), split.ravel()
+
+    return tables(code), tables(np.arange(27))
 
 
-def _prefixes(codes: np.ndarray, compose: np.ndarray) -> np.ndarray:
-    """prefix[j], the composition of the maps codes[0] .. codes[j], by exact
-    lookups in compose (_compose_table): the prefixes of the pairs (0, 1),
-    (2, 3), ... are those at odd j, and one lookup each gives the even j
-    (Ladner and Fischer, J. ACM 27, 831, 1980), about 2 L lookups in all."""
-    if len(codes) == 1:
-        return codes
-    odd = _prefixes(compose.take(27 * codes[:-1:2] + codes[1::2]), compose)
-    prefix = codes.copy()
-    prefix[1::2] = odd
-    prefix[2::2] = compose.take(27 * odd[:(len(codes) - 1) // 2] + codes[2::2])
-    return prefix
-
-
-def _scan(start: int, codes: np.ndarray, compose: np.ndarray) -> tuple[np.ndarray, int]:
-    """The states before each jump of a chunk, and the state after it, from
-    start and the chunk's next-state map codes, by way of their _prefixes."""
-    after = (np.arange(27) // 3**start % 3).take(_prefixes(codes, compose))
-    return np.concatenate(([start], after[:-1])), int(after[-1])
+def _walk(start: int, letters: np.ndarray, tables: tuple, lower: tuple) -> tuple[np.ndarray, int]:
+    """The states before each of a chunk's jumps (uint8), and the state after
+    them, from start and the jumps' letters (uint8), tables and lower being
+    their _walk_tables. State halving: one compose lookup per adjacent pair
+    of letters, read as one uint16 (an odd last letter is paired with
+    itself), gives the pair's map as a letter of lower; the walk of those
+    maps gives the state before each pair, and one split lookup by the pair
+    and that state gives the states before its two jumps. Below 48 letters a
+    Python loop costs less than the numpy calls."""
+    compose, split = tables
+    if len(letters) < 48:
+        states = []
+        for letter in letters.tolist():
+            states.append(start)
+            start = split.item(3 * letter + start) >> 8
+        return np.array(states, dtype=np.uint8), start
+    pairs = (np.append(letters, letters[-1]) if len(letters) % 2 else letters).view("<u2")
+    index = pairs * 3  # letters are below 27, so index stays below 2**16
+    index += _walk(start, compose.take(pairs), lower, lower)[0]
+    states = split.take(index).view(np.uint8)[:len(letters)]
+    return states, split.item(3 * int(letters[-1]) + int(states[-1])) >> 8
 
 
 #: SplitMix64's counter step (the golden ratio times 2**64) and multipliers.
@@ -369,14 +389,16 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
 
     Jump k leaves s for the first outcome of s's table whose cumulative
     probability is at least u[k] = (w[k] >> 11) * 2**-53, w[k] word k of the
-    SplitMix64 stream of seed and n_jumps (_stream_key, _words). In chunks of
-    at most CHUNK_JUMPS jumps, none spanning the end of the burn-in or of a
-    batch, u[k]'s interval among the merged outcome tables (_interval_tables)
-    names the jump's next-state map. The interval is read from a table of
-    4096 buckets by w[k]'s top 12 bits (_bucket_tables); in a bucket that
-    holds a breakpoint, at most one per breakpoint, it is searched for
-    exactly (_intervals). A prefix scan of the maps (_scan) gives the states
-    the jumps leave, and a bincount adds the jumps to their batch's counts.
+    SplitMix64 stream of seed and n_jumps (_stream_key, _words). The run,
+    burn-in included, is walked in chunks of CHUNK_JUMPS jumps (the last
+    may be shorter) that do not stop at the end of the burn-in or of a
+    batch. In each, u[k]'s interval among the merged outcome tables
+    (_interval_tables) names the jump's next-state map. The interval is read
+    from a table of 4096 buckets by w[k]'s top 12 bits (_bucket_tables); in
+    a bucket that holds a breakpoint, at most one per breakpoint, it is
+    searched for exactly (_intervals). A state-halving walk of the intervals
+    (_walk) gives the states the jumps leave, and the chunk's jump kinds are
+    split at the batch ends only for the bincounts into each batch's counts.
 
     Each sigma is the spread of the 50 batch means, floored at one count
     over the total time T: (1/r_s)/T for p_s, and the largest |E_j - E_i|
@@ -414,7 +436,7 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
 
     breaks, code, outcome = _interval_tables(cum, target)
     below, ambiguous = _bucket_tables(breaks)
-    compose = _compose_table()
+    top, lower = _walk_tables(code)
     # flow[k, i, l, s]: 1 if the jump of interval k from state i goes into s
     # through channel l, -1 if it leaves s through l, else 0 (so 0 for a
     # padded outcome)
@@ -427,23 +449,20 @@ def gillespie_estimate(freqs: np.ndarray, prefactors: np.ndarray, temperatures: 
     n_burn = n_jumps // 100
     key = _stream_key(operator.index(seed), n_jumps)
 
-    def chunk(state: int, start: int, size: int) -> tuple[np.ndarray, int]:
-        """Jumps start .. start + size - 1 of the run, from state: their kind
-        3 * interval + the state they leave, and the state after them."""
-        interval = _intervals(_words(key, start, size), breaks, below, ambiguous)
-        states, state = _scan(state, code.take(interval), compose)
-        return 3 * interval + states, state
-
-    state = 0
-    for start in range(0, n_burn, CHUNK_JUMPS):
-        state = chunk(state, start, min(CHUNK_JUMPS, n_burn - start))[1]
     counts = np.zeros((_BATCHES, 3 * len(outcome)), dtype=np.int64)
-    # jump k after the burn-in falls in batch k * _BATCHES // n_jumps
-    ends = [-(-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]
-    for b in range(_BATCHES):
-        for start in range(ends[b], ends[b + 1], CHUNK_JUMPS):
-            jump, state = chunk(state, n_burn + start, min(CHUNK_JUMPS, ends[b + 1] - start))
-            counts[b] += np.bincount(jump, minlength=counts.shape[1])
+    # jump k of the run, k >= n_burn, falls in batch (k - n_burn) * _BATCHES // n_jumps
+    ends = [n_burn - (-b * n_jumps // _BATCHES) for b in range(_BATCHES + 1)]
+    total, state = n_burn + n_jumps, 0
+    for start in range(0, total, CHUNK_JUMPS):
+        stop = min(start + CHUNK_JUMPS, total)
+        interval = _intervals(_words(key, start, stop - start), breaks, below, ambiguous)
+        states, state = _walk(state, interval, top, lower)
+        jump = 3 * interval + states  # the kind of each jump, below 3 * 22 in uint8
+        # the batches of jumps start .. stop - 1 (none in the burn-in)
+        for b in range(max(start - n_burn, 0) * _BATCHES // n_jumps,
+                       (stop - 1 - n_burn) * _BATCHES // n_jumps + 1):
+            part = jump[max(ends[b], start) - start:min(ends[b + 1], stop) - start]
+            counts[b] += np.bincount(part, minlength=counts.shape[1])
 
     with np.errstate(over="ignore", invalid="ignore"):  # exit rates near the float's least
         occ = counts.reshape(_BATCHES, -1, 3).sum(axis=1) / exit_rate

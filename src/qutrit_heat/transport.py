@@ -308,20 +308,23 @@ def metric_values(name: str, parts) -> tuple[np.ndarray, np.ndarray]:
     that of l' (of the single bath) in the second; +1 and -1 are perfect
     diodes. C is (|J_cw| - |J_ccw|) / |J_cw + J_ccw| with J_cw = J_ab J_bc
     J_ca and J_ccw = J_ac J_cb J_ba, J_lm bath l's current with m hot, and
-    its scale is the product of the three scales. Where that product leaves
-    the float range, each scenario's currents are taken over its own scale
-    and the scale is 1: the same ratio, as each product holds one current of
-    each scenario.
+    its scale is the product of the three scales. Where that product is
+    outside the normal float range (it overflows, or underflows below about
+    1e-308) and every scale is positive, each scenario's currents are taken
+    over its own scale and the scale is 1: the same ratio, as each product
+    holds one current of each scenario. A scale of exactly 0 keeps the
+    product 0, so C stays flagged 0/0.
     """
     if name == "C":
         (ja, sa), (jb, sb), (jc, sc) = parts
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             scale = sa * sb * sc
-            wide = ~np.isfinite(scale)
-            if wide.any():
-                ja, jb, jc = (np.where(wide[:, None], j / s[:, None], j)
+            normal = (scale >= np.finfo(float).tiny) & (scale <= np.finfo(float).max)
+            rescale = ~normal & (sa > 0) & (sb > 0) & (sc > 0)
+            if rescale.any():
+                ja, jb, jc = (np.where(rescale[:, None], j / s[:, None], j)
                               for j, s in ((ja, sa), (jb, sb), (jc, sc)))
-                scale = np.where(wide, 1.0, scale)
+                scale = np.where(rescale, 1.0, scale)
             j_cw, j_ccw = jb[:, 0] * jc[:, 1] * ja[:, 2], jc[:, 0] * jb[:, 2] * ja[:, 1]
             num, denom = abs(j_cw) - abs(j_ccw), abs(j_cw + j_ccw)
     else:

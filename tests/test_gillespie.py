@@ -1,8 +1,8 @@
 """Jump-process estimator tests: determinism, equilibrium, solver agreement,
 the seed contract, its pick stream against a pure-Python SplitMix64,
 bit-for-bit agreement with a jump-by-jump reference walk and across chunk
-sizes, its interval lookup, bucket lookup and prefix scan against brute
-force, memory, and the calibration of its z-scores."""
+sizes, its interval lookup, bucket lookup and state-halving walk against
+brute force, its stream calls, memory, and the calibration of its z-scores."""
 
 from __future__ import annotations
 
@@ -30,11 +30,11 @@ from qutrit_heat.steady import (
     MIN_JUMPS,
     _BUCKETS,
     _bucket_tables,
-    _compose_table,
     _interval_tables,
     _intervals,
-    _scan,
     _stream_key,
+    _walk,
+    _walk_tables,
     _words,
 )
 
@@ -292,16 +292,35 @@ def test_estimate_equals_the_jump_by_jump_walk(merged, lambda_off, q, temps, n_j
 
 
 def test_estimate_does_not_depend_on_the_chunk_size(monkeypatch):
-    # batches of 9,000 jumps: the default chunk splits each in two
+    # batches of 9,000 jumps after a burn-in of 4,500: the default chunk is
+    # neither a multiple nor a divisor of a batch, so chunks end inside
+    # batches and batches end inside chunks
     channels = pinned_channels((3.0, 1.5, 2.0))
-    n_jumps = 450_001
+    n_jumps, n_burn, batch = 450_001, 4_500, 9_000
     reference = gillespie_estimate(*channels, n_jumps=n_jumps, seed=5)
-    assert n_jumps // 50 > steady_module.CHUNK_JUMPS
-    for chunk in (64, 1000, 8191, 10 * n_jumps):
+    assert CHUNK_JUMPS % batch and batch % CHUNK_JUMPS
+    for chunk in (64, 1000, 8191, n_burn, n_burn + 1, batch - 1, batch + 1, 10 * n_jumps):
         monkeypatch.setattr(steady_module, "CHUNK_JUMPS", chunk)
         est = gillespie_estimate(*channels, n_jumps=n_jumps, seed=5)
         for name in ("p_hat", "sigma_p", "j_hat", "sigma_j"):
             assert np.array_equal(getattr(est, name), getattr(reference, name)), (chunk, name)
+
+
+@pytest.mark.parametrize("n_jumps", [20_000, 450_001])
+def test_one_stream_call_per_chunk(monkeypatch, equilibrium_channels, n_jumps):
+    # a cost guard without timing: the run, burn-in included, is walked in
+    # full chunks that do not stop at the batch ends
+    calls = []
+
+    def counted(key, start, size):
+        calls.append(size)
+        return _words(key, start, size)
+
+    monkeypatch.setattr(steady_module, "_words", counted)
+    gillespie_estimate(*equilibrium_channels, n_jumps=n_jumps, seed=1)
+    total = n_jumps // 100 + n_jumps
+    assert len(calls) == math.ceil(total / CHUNK_JUMPS)
+    assert sum(calls) == total
 
 
 def apply_code(code: int, state: int) -> int:
@@ -309,30 +328,45 @@ def apply_code(code: int, state: int) -> int:
     return code // 3**state % 3
 
 
-def test_composition_table_composes_the_maps():
-    compose = _compose_table()
-    assert compose.shape == (27 * 27,)
-    for a in range(27):
-        for b in range(27):
-            composed = int(compose[27 * a + b])
-            assert 0 <= composed < 27
-            for s in range(3):
-                assert apply_code(composed, s) == apply_code(b, apply_code(a, s))
+def pair_index(x: int, y: int) -> int:
+    """The two uint8 letters x, y as one little-endian uint16, as _walk reads them."""
+    return int(np.array([x, y], dtype=np.uint8).view("<u2")[0])
 
 
-SCAN_LENGTHS = st.sampled_from([1, 2, 3]) | st.builds(
-    lambda k, off: max(1, 2**k + off), st.integers(1, 12), st.sampled_from([-1, 0, 1]))
+@settings(max_examples=20, deadline=None)
+@given(code=st.lists(st.integers(0, 26), min_size=1, max_size=22))
+def test_composition_table_composes_the_maps(code):
+    # the tables of letters standing for maps, and of the 27 maps themselves
+    for codes, (compose, split) in zip((code, range(27)), _walk_tables(np.array(code))):
+        for x, a in enumerate(codes):
+            for y, b in enumerate(codes):
+                p = pair_index(x, y)
+                composed = int(compose[p])
+                assert 0 <= composed < 27
+                for s in range(3):
+                    assert apply_code(composed, s) == apply_code(b, apply_code(a, s))
+                    before = np.array([split[3 * p + s]], dtype="<u2").view(np.uint8).tolist()
+                    assert before == [s, apply_code(a, s)]
+
+
+# lengths on both sides of the walk's Python base case (48 letters), odd and
+# even at every level, and powers of two around a chunk
+SCAN_LENGTHS = st.integers(1, 200) | st.builds(
+    lambda k, off: max(1, 2**k + off), st.integers(1, 15), st.sampled_from([-1, 0, 1]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(length=SCAN_LENGTHS, start=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
 def test_scan_equals_a_plain_loop(length, start, seed):
-    codes = np.random.default_rng(seed).integers(0, 27, length)
-    states, end = _scan(start, codes, _compose_table())
+    rng = np.random.default_rng(seed)
+    code = rng.integers(0, 27, rng.integers(1, 23))  # a map per letter, as per interval
+    letters = rng.integers(0, len(code), length).astype(np.uint8)
+    states, end = _walk(start, letters, *_walk_tables(code))
     expected, state = [], start
-    for code in codes.tolist():
+    for letter in letters.tolist():
         expected.append(state)
-        state = apply_code(code, state)
+        state = apply_code(int(code[letter]), state)
+    assert states.dtype == np.uint8
     assert states.tolist() == expected
     assert end == state
 

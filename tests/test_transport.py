@@ -266,6 +266,31 @@ class TestCirculation:
         assert math.prod(scales) == math.inf
         assert circulation(cfg, 0.9, 3.86) == value("C", *currents)
 
+    def test_scale_product_below_the_normal_range(self):
+        # near absolute zero each scenario's scale is 1e-137 .. 1e-142, so
+        # their product underflows to 0; C is then the formula on each
+        # scenario's currents over its own scale, not a flagged 0/0
+        cfg = SystemConfig(circuit=QUARTER_FLUX, q=100.0)
+        currents, scales = [], []
+        for m in "abc":
+            _, cur = solve_temperatures(cfg, {b: 0.015 if b == m else 0.005 for b in "abc"})
+            currents.append([cur.j_a / cur.scale, cur.j_b / cur.scale, cur.j_c / cur.scale])
+            scales.append(cur.scale)
+        assert all(s > 0 for s in scales) and math.prod(scales) < np.finfo(float).tiny
+        c = circulation(cfg, 0.005, 0.015)
+        assert c == value("C", *currents)
+        assert abs(c) < 1e-12
+
+    def test_zero_scale_stays_undefined(self):
+        # a scenario with no current at all keeps the scale product 0, so C
+        # is flagged 0/0, never an unflagged NaN
+        j = np.array([[1e-200, -1e-200, 0.0]])
+        for zero in range(3):
+            parts = [(np.zeros((1, 3)) if k == zero else j, np.array([0.0 if k == zero else 1e-150]))
+                     for k in range(3)]
+            _, undefined = metric_values("C", parts)
+            assert undefined.tolist() == [True]
+
     def test_merged_config_rejected(self):
         with pytest.raises(ValueError):
             circulation(config(merged=("a", "b")), 0.9, 2.0)
